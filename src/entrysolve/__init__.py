@@ -33,7 +33,7 @@ from .simulate import (Formulation, PolicyEstimate, SimConfig,
                        threshold_suboptimality_scan)
 from .solver import (Diagnostics, Mode, ProblemParams, Solution, Viability,
                      check_entry_viability, coefficients, p_independence_audit,
-                     solve, solve_threshold, value_active, value_idle)
+                     solve, solve_threshold)
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,5 @@ __all__ = [
     "speed_density",
     "threshold_suboptimality_scan",
     "tricomi_u",
-    "value_active",
-    "value_idle",
     "wronskian_check",
 ]

@@ -5,11 +5,15 @@ decay like powers or exponentials of the state. Working on v = ln(x) with
 composite fixed-order Gauss-Legendre panels equidistributes resolution
 across scales and keeps evaluation vectorized and deterministic.
 
-The two open-ended helpers walk fixed-width log windows toward a boundary
-until contributions become negligible relative to the accumulated L1 mass.
-When a hard truncation limit is supplied (numeric bases are only known on
-a finite working interval) the remaining tail is estimated by geometric
-extrapolation of the observed per-window decay.
+The two open-ended entry points share one walker. It integrates
+unit-width log windows away from a finite endpoint, down toward 0 or up
+toward infinity, until two windows in a row add less than 1e-12 of the
+accumulated L1 mass. It raises QuadratureError when a window's integral
+is not finite, when 240 windows do not suffice, and, on the way up, when
+four windows in a row grow. When a hard truncation limit is supplied
+(numeric bases are only known on a finite working interval) the
+remaining tail is estimated by geometric extrapolation of the observed
+per-window decay.
 """
 from __future__ import annotations
 
@@ -22,6 +26,11 @@ from .errors import QuadratureError
 
 # x below this is treated as the lower boundary itself
 _X_FLOOR = 1e-280
+_NODES = 32
+_PANEL_WIDTH = 0.5
+_WINDOW = 1.0
+_REL_TOL = 1e-12
+_MAX_WINDOWS = 240
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -47,8 +56,7 @@ def _log_panels(f: Callable, va: float, vb: float, max_width: float, nodes: int)
     return float(np.sum(vals.reshape(nseg, nodes) * (half[:, None] * w[None, :])))
 
 
-def fixed_panels(f: Callable, a: float, b: float, *, nodes: int = 32,
-                 max_width: float = 0.5) -> float:
+def fixed_panels(f: Callable, a: float, b: float) -> float:
     """Integrate f over a finite interval [a, b], 0 < a <= b.
 
     A nested lower-order pass estimates the error; disagreement beyond
@@ -60,13 +68,13 @@ def fixed_panels(f: Callable, a: float, b: float, *, nodes: int = 32,
     if a == b:
         return 0.0
     va, vb = math.log(a), math.log(b)
-    hi = _log_panels(f, va, vb, max_width, nodes)
-    lo = _log_panels(f, va, vb, max_width, nodes // 2)
+    hi = _log_panels(f, va, vb, _PANEL_WIDTH, _NODES)
+    lo = _log_panels(f, va, vb, _PANEL_WIDTH, _NODES // 2)
     scale = max(abs(hi), 1e-300)
     if abs(hi - lo) <= 1e-8 * scale:
         return hi
-    hi2 = _log_panels(f, va, vb, max_width / 4.0, nodes)
-    lo2 = _log_panels(f, va, vb, max_width / 4.0, nodes // 2)
+    hi2 = _log_panels(f, va, vb, _PANEL_WIDTH / 4.0, _NODES)
+    lo2 = _log_panels(f, va, vb, _PANEL_WIDTH / 4.0, _NODES // 2)
     if abs(hi2 - lo2) <= 1e-7 * max(abs(hi2), 1e-300):
         return hi2
     raise QuadratureError(
@@ -88,84 +96,65 @@ def _tail_estimate(last: float, prev: float, where: str) -> float:
     return last * q / (1.0 - q)
 
 
-def integrate_to_zero(f: Callable, hi: float, *, limit: float | None = None,
-                      rel_tol: float = 1e-12, window: float = 1.0,
-                      nodes: int = 32, max_windows: int = 240) -> float:
-    """Integrate f over (0, hi], walking log windows down from hi."""
-    if hi <= 0.0:
-        raise ValueError(f"upper endpoint must be positive, got {hi}")
-    if hi <= _X_FLOOR or (limit is not None and hi <= limit):
-        return 0.0
-    total = 0.0
-    total_abs = 0.0
-    prev_w = math.inf
-    calm = 0
-    b = hi
-    for _ in range(max_windows):
-        a = b * math.exp(-window)
-        truncated = limit is not None and a <= limit
-        if truncated:
-            a = max(a, limit)
-        wk = _log_panels(f, math.log(a), math.log(b), 0.5, nodes)
-        total += wk
-        total_abs += abs(wk)
-        if truncated:
-            return total + _tail_estimate(wk, prev_w, "lower")
-        if abs(wk) <= rel_tol * max(total_abs, 1e-300):
-            calm += 1
-            if calm >= 2:
-                return total
-        else:
-            calm = 0
-        prev_w = wk
-        b = a
-        if b <= _X_FLOOR:
-            return total
-    raise QuadratureError(
-        f"integral toward the lower boundary did not converge within "
-        f"{max_windows} windows below {hi}")
-
-
-def integrate_to_inf(f: Callable, lo: float, *, limit: float | None = None,
-                     rel_tol: float = 1e-12, window: float = 1.0,
-                     nodes: int = 32, max_windows: int = 240) -> float:
-    """Integrate f over [lo, inf), walking log windows up from lo."""
-    if lo <= 0.0:
-        raise ValueError(f"lower endpoint must be positive, got {lo}")
-    if limit is not None and lo >= limit:
-        return 0.0
+def _walk(f: Callable, start: float, limit: float | None, up: bool) -> float:
+    """Integrate f from start toward infinity (up) or toward 0, one log
+    window at a time; limit, when given, truncates the walk there."""
     total = 0.0
     total_abs = 0.0
     prev_w = math.inf
     calm = 0
     grow = 0
-    a = lo
-    for _ in range(max_windows):
-        b = a * math.exp(window)
-        truncated = limit is not None and b >= limit
+    near = start
+    for _ in range(_MAX_WINDOWS):
+        far = near * math.exp(_WINDOW if up else -_WINDOW)
+        truncated = limit is not None and (far >= limit if up else far <= limit)
         if truncated:
-            b = min(b, limit)
-        wk = _log_panels(f, math.log(a), math.log(b), 0.5, nodes)
+            far = min(far, limit) if up else max(far, limit)
+        a, b = (near, far) if up else (far, near)
+        wk = _log_panels(f, math.log(a), math.log(b), _PANEL_WIDTH, _NODES)
+        if not math.isfinite(wk):
+            raise QuadratureError(f"integrand is not finite on [{a:.3g}, {b:.3g}]")
         total += wk
         total_abs += abs(wk)
         if truncated:
-            return total + _tail_estimate(wk, prev_w, "upper")
-        if abs(wk) <= rel_tol * max(total_abs, 1e-300):
+            return total + _tail_estimate(wk, prev_w, "upper" if up else "lower")
+        if abs(wk) <= _REL_TOL * max(total_abs, 1e-300):
             calm += 1
             if calm >= 2:
                 return total
         else:
             calm = 0
-        if abs(wk) > abs(prev_w) and math.isfinite(prev_w):
+        if up and abs(wk) > abs(prev_w) and math.isfinite(prev_w):
             grow += 1
             if grow >= 4:
                 raise QuadratureError(
-                    f"integrand keeps growing toward infinity above {lo}; "
+                    f"integrand keeps growing toward infinity above {start}; "
                     "the payoff is not integrable against this resolvent")
         else:
             grow = 0
         prev_w = wk
-        a = b
+        near = far
+        if not up and near <= _X_FLOOR:
+            return total
+    toward, side = ("infinity", "above") if up else ("the lower boundary", "below")
     raise QuadratureError(
-        f"integral toward infinity did not converge within {max_windows} "
-        f"windows above {lo}")
+        f"integral toward {toward} did not converge within {_MAX_WINDOWS} "
+        f"windows {side} {start}")
+
+
+def integrate_to_zero(f: Callable, hi: float, *, limit: float | None = None) -> float:
+    """Integrate f over (0, hi], walking log windows down from hi."""
+    if hi <= 0.0:
+        raise ValueError(f"upper endpoint must be positive, got {hi}")
+    if hi <= _X_FLOOR or (limit is not None and hi <= limit):
+        return 0.0
+    return _walk(f, hi, limit, up=False)
+
+
+def integrate_to_inf(f: Callable, lo: float, *, limit: float | None = None) -> float:
+    """Integrate f over [lo, inf), walking log windows up from lo."""
+    if lo <= 0.0:
+        raise ValueError(f"lower endpoint must be positive, got {lo}")
+    if limit is not None and lo >= limit:
+        return 0.0
+    return _walk(f, lo, limit, up=True)

@@ -16,7 +16,7 @@ class QuadratureError(NumericsError):
 
 
 class AccuracyError(NumericsError):
-    """A series or quadrature hit its iteration cap before converging."""
+    """A special-function quadrature reported an error above its tolerance."""
 
 
 class ConstructionError(NumericsError):

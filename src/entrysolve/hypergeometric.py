@@ -5,9 +5,9 @@ models reduce to M and U with first parameter a > 0 and argument z >= 0
 proportional to state, which is the regime this module targets.
 
 Evaluation strategy:
-  * M: ascending series with term recurrence for |z| <= 150 (all terms
-    positive when a, b, z > 0, so no cancellation), switching to the
-    large-argument expansion gamma(b)/gamma(a) e^z z^(a-b) * S for larger z.
+  * M: scipy.special.hyp1f1, after rejecting a non-positive integer b
+    (a pole of M). Against 40-digit references it is good to about
+    1e-14 relative over the logistic models' parameters and z up to 700.
   * U: Laplace integral U(a,b,z) = gamma(a)^-1 integral_0^inf e^(-zt)
     t^(a-1) (1+t)^(b-a-1) dt, rescaled to s = z t. A generalized
     Gauss-Laguerre rule with weight s^(a-1) e^(-s) handles a >= 3 or
@@ -22,13 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_genlaguerre
+from scipy.special import hyp1f1, roots_genlaguerre
 
 from .errors import AccuracyError
 
-_SERIES_CAP = 500
-_SERIES_EPS = 1e-16
-_Z_SWITCH = 150.0
 _GL_NODES = 128
 
 
@@ -51,60 +48,11 @@ class HypergeometricArgs:
             raise ValueError(f"argument z={self.z} must be non-negative")
 
 
-def _m_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series; supports signed z (cancellation grows with |z|)."""
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for n in range(_SERIES_CAP):
-        term = term * ((a + n) / ((b + n) * (n + 1.0))) * z
-        acc = acc + term
-        if np.all(np.abs(term) <= _SERIES_EPS * np.abs(acc)):
-            return acc
-    raise AccuracyError(
-        f"Kummer series did not converge within {_SERIES_CAP} terms "
-        f"(a={a}, b={b}, max|z|={float(np.max(np.abs(z)))})")
-
-
-def _m_asymptotic(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Large positive z: M ~ gamma(b)/gamma(a) e^z z^(a-b) sum_n (b-a)_n (1-a)_n / (n! z^n)."""
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    prev = np.full_like(z, np.inf)
-    for n in range(1, 60):
-        term = term * ((b - a + n - 1.0) * (n - a) / n) / z
-        if np.any(np.abs(term) > np.abs(prev)):
-            # divergent asymptotic tail reached before convergence
-            if np.any(np.abs(prev) > 1e-12 * np.abs(acc)):
-                raise AccuracyError(
-                    f"large-argument expansion for M stalled (a={a}, b={b})")
-            break
-        acc = acc + term
-        if np.all(np.abs(term) <= _SERIES_EPS * np.abs(acc)):
-            break
-        prev = term
-    lead = math.lgamma(b) - math.lgamma(a)
-    return np.exp(lead + z + (a - b) * np.log(z)) * acc
-
-
 def _m_vec(a: float, b: float, z) -> np.ndarray:
     """Vectorized M(a, b, z) over a float array z (signed z allowed)."""
     if _is_nonpositive_integer(b):
         raise ValueError(f"second parameter b={b} is a non-positive integer")
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    neg = z < -8.0
-    big = z > _Z_SWITCH
-    mid = ~(neg | big)
-    if np.any(mid):
-        out[mid] = _m_series(a, b, z[mid])
-    if np.any(big):
-        out[big] = _m_asymptotic(a, b, z[big])
-    if np.any(neg):
-        # reflect to a positive argument where the series has no cancellation
-        out[neg] = np.exp(z[neg]) * _m_vec(b - a, b, -z[neg])
-    return out
+    return hyp1f1(a, b, np.asarray(z, dtype=float))
 
 
 def kummer_m(args: HypergeometricArgs) -> float:

@@ -98,14 +98,6 @@ def custom(evaluator: Callable[[np.ndarray], np.ndarray]) -> Payoff:
     return Payoff(PayoffKind.CUSTOM, ev, (evaluator,))
 
 
-def _constant(level: float) -> Payoff:
-    # internal helper for identity tests; constants are valid flows
-    def ev(x: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(x, dtype=float), level)
-
-    return Payoff(PayoffKind.CUSTOM, ev, (level,))
-
-
 def limit_at_infinity(h: Payoff) -> float:
     """Limit of h at +infinity, or +inf if h grows without bound.
 

@@ -39,17 +39,18 @@ def _limits(basis: ExcessiveBasis) -> tuple:
     return lo, hi
 
 
+def _integrand(u: Callable, g: Callable, m_prime: Callable) -> Callable:
+    """t -> u(t) g(t) m'(t), with u an eigenfunction and g a flow."""
+    def f(t):
+        return u(t) * g(t) * m_prime(t)
+
+    return f
+
+
 def _tails(basis: ExcessiveBasis, m_prime: Callable, h, x: float) -> tuple[float, float]:
     lo_lim, hi_lim = _limits(basis)
-
-    def f_lo(t):
-        return basis.psi(t) * h(t) * m_prime(t)
-
-    def f_hi(t):
-        return basis.phi(t) * h(t) * m_prime(t)
-
-    i_lo = integrate_to_zero(f_lo, x, limit=lo_lim)
-    i_hi = integrate_to_inf(f_hi, x, limit=hi_lim)
+    i_lo = integrate_to_zero(_integrand(basis.psi, h, m_prime), x, limit=lo_lim)
+    i_hi = integrate_to_inf(_integrand(basis.phi, h, m_prime), x, limit=hi_lim)
     return i_lo, i_hi
 
 
@@ -85,13 +86,8 @@ def resolvent_split(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     x = _check_scalar_state(x)
     y = _check_scalar_state(y)
     lo_lim, hi_lim = _limits(basis)
-
-    def f_psi(t):
-        return basis.psi(t) * h(t) * m_prime(t)
-
-    def f_phi(t):
-        return basis.phi(t) * h(t) * m_prime(t)
-
+    f_psi = _integrand(basis.psi, h, m_prime)
+    f_phi = _integrand(basis.phi, h, m_prime)
     phi_x = float(basis.phi(np.asarray([x]))[0])
     psi_x = float(basis.psi(np.asarray([x]))[0])
     if side is Side.BELOW:
@@ -127,13 +123,8 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("grid states must be strictly increasing")
     lo_lim, hi_lim = _limits(basis)
-
-    def f_psi(t):
-        return basis.psi(t) * h(t) * m_prime(t)
-
-    def f_phi(t):
-        return basis.phi(t) * h(t) * m_prime(t)
-
+    f_psi = _integrand(basis.psi, h, m_prime)
+    f_phi = _integrand(basis.phi, h, m_prime)
     n = xs.size
     i_lo = np.empty(n)
     i_hi = np.empty(n)
@@ -196,16 +187,7 @@ def resolvent_equation_check(basis_q: ExcessiveBasis, basis_p: ExcessiveBasis,
     inner_vals, _ = resolvent_on_grid(basis_p, m_prime, h, span)
     table = _LogLogTable(span, inner_vals)
 
-    def inner(t):
-        return np.asarray(table(t), dtype=float)
-
     rq = resolvent(basis_q, m_prime, h, x)
     rp = resolvent(basis_p, m_prime, h, x)
-    lo_lim, hi_lim = _limits(basis_q)
-    i_lo = integrate_to_zero(lambda t: basis_q.psi(t) * inner(t) * m_prime(t),
-                             x, limit=lo_lim)
-    i_hi = integrate_to_inf(lambda t: basis_q.phi(t) * inner(t) * m_prime(t),
-                            x, limit=hi_lim)
-    rq_rp = (float(basis_q.phi(np.asarray([x]))[0]) * i_lo
-             + float(basis_q.psi(np.asarray([x]))[0]) * i_hi) / basis_q.wronskian
+    rq_rp = resolvent(basis_q, m_prime, table, x)
     return abs(rq - rp + (q - p) * rq_rp)

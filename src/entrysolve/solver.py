@@ -31,7 +31,7 @@ from ._quad import integrate_to_inf, integrate_to_zero
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
 from .errors import NumericsError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
-from .resolvent import resolvent, resolvent_on_grid, resolvent_prime
+from .resolvent import _integrand, _limits, resolvent, resolvent_on_grid, resolvent_prime
 
 
 class Mode(Enum):
@@ -168,16 +168,19 @@ def _break_even_state(params: ProblemParams) -> float:
                   xtol=1e-14, rtol=1e-13)
 
 
+def _net_flow(params: ProblemParams) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> h(t) - kappa, the flow net of the break-even level."""
+    kappa = params.break_even
+    return lambda t: params.h(t) - kappa
+
+
 def _threshold_objective(spec: DiffusionSpec, params: ProblemParams) -> Callable[[float], float]:
     basis_a = excessive_basis(spec, params.rho_active)
     m_prime = partial(speed_density, spec)
-    kappa = params.break_even
-    lo_lim = basis_a.x_lo if basis_a.x_lo > 0.0 else None
+    lo_lim, _ = _limits(basis_a)
+    f = _integrand(basis_a.psi, _net_flow(params), m_prime)
 
     def objective(x: float) -> float:
-        def f(t):
-            return basis_a.psi(t) * (params.h(t) - kappa) * m_prime(t)
-
         return integrate_to_zero(f, x, limit=lo_lim)
 
     return objective
@@ -213,17 +216,12 @@ def _coefs_from_bases(params: ProblemParams, m_prime: Callable, x_star: float,
                       basis_a: ExcessiveBasis) -> tuple[float, float, float]:
     kappa = params.break_even
     h = params.h
-    lo_lim = basis_i.x_lo if basis_i.x_lo > 0.0 else None
-    hi_lim = basis_i.x_hi if math.isfinite(basis_i.x_hi) else None
-
-    def f_phi(t):
-        return basis_i.phi(t) * (h(t) - kappa) * m_prime(t)
-
-    def f_psi(t):
-        return basis_i.psi(t) * (h(t) - kappa) * m_prime(t)
-
-    c_i1 = integrate_to_inf(f_phi, x_star, limit=hi_lim) / basis_i.wronskian
-    d_i2 = -integrate_to_zero(f_psi, x_star, limit=lo_lim) / basis_i.wronskian
+    lo_lim, hi_lim = _limits(basis_i)
+    net = _net_flow(params)
+    c_i1 = integrate_to_inf(_integrand(basis_i.phi, net, m_prime), x_star,
+                            limit=hi_lim) / basis_i.wronskian
+    d_i2 = -integrate_to_zero(_integrand(basis_i.psi, net, m_prime), x_star,
+                              limit=lo_lim) / basis_i.wronskian
     if not c_i1 > 0.0:
         raise NumericsError(f"entry coefficient c_i1 = {c_i1:.3e} is not positive")
 
@@ -387,16 +385,6 @@ def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:
     basis_i = excessive_basis(spec, params.rho_idle)
     basis_a = excessive_basis(spec, params.rho_active)
     return _assemble(spec, params, x_star, basis_i, basis_a, residual)
-
-
-def value_idle(solution: Solution, x):
-    """Idle-state value V_i at x (0 in NEVER_ENTER mode)."""
-    return solution.value_idle(x)
-
-
-def value_active(solution: Solution, x):
-    """Active-state value V_a at x."""
-    return solution.value_active(x)
 
 
 def p_independence_audit(spec: DiffusionSpec, params: ProblemParams,

@@ -1,0 +1,31 @@
+"""The benchmark's tracer patches entrysolve module attributes by name.
+
+perfbench/tracing.py is loaded by path and only read. Installing it
+fails if a module no longer binds a hooked name, so a refactor that
+drops one fails here rather than only in a traced benchmark run.
+"""
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_and_uninstall_restores():
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert saved
+        for module, attr, original in saved:
+            assert getattr(module, attr) is not original, (module.__name__, attr)
+    finally:
+        tracer.uninstall()
+    for module, attr, original in saved:
+        assert getattr(module, attr) is original, (module.__name__, attr)

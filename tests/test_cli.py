@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from entrysolve import Formulation, solve
@@ -221,6 +222,15 @@ class TestSolveCommand:
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_tail_is_exit_3(self, tmp_path, capsys):
+        # the speed density overflows in the tail of c_i1's integral
+        text = (FLAT.replace("alpha = 0.05", "alpha = 0.095")
+                .replace("p = 0.5", "p = 1").replace("theta = 0.5", "theta = 1"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--config", write(tmp_path, text)])
+        assert code == 3
+        assert "integrand is not finite" in capsys.readouterr().err
 
     def test_bad_p_list_is_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--config", write(tmp_path, FLAT),

@@ -46,7 +46,7 @@ class TestKummerM:
         assert kummer_m(HypergeometricArgs(2.7, 5.3, 0.0)) == 1.0
 
     def test_exponential_identity(self):
-        # M(1, 1, z) = e^z, across the series/asymptotic switch
+        # M(1, 1, z) = e^z, up to z = 400
         for z in (0.5, 2.0, 30.0, 120.0, 200.0, 400.0):
             got = kummer_m(HypergeometricArgs(1.0, 1.0, z))
             assert rel_err(got, math.exp(z)) < 1e-10, z

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from entrysolve import PayoffKind, affine, custom_payoff, limit_at_infinity, power, saturating
-from entrysolve.payoffs import _constant
 
 
 class TestFactories:
@@ -99,6 +98,6 @@ class TestLimitAtInfinity:
             limit_at_infinity(h)
 
     def test_constant_helper(self):
-        h = _constant(3.0)
+        h = custom_payoff(lambda x: np.full_like(x, 3.0))
         np.testing.assert_allclose(h(np.array([0.1, 7.0])), [3.0, 3.0], rtol=0.0)
         assert limit_at_infinity(h) == 3.0

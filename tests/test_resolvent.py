@@ -22,6 +22,7 @@ from entrysolve import (
     logistic,
     power,
     affine,
+    custom_payoff,
     resolvent,
     resolvent_equation_check,
     resolvent_on_grid,
@@ -29,7 +30,7 @@ from entrysolve import (
     resolvent_split,
     speed_density,
 )
-from entrysolve.payoffs import _constant
+from entrysolve._quad import integrate_to_inf, integrate_to_zero
 
 ALPHA, BETA = 0.05, 0.25
 SPEC = gbm(ALPHA, BETA)
@@ -60,7 +61,7 @@ class TestClosedForms:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_constant_payoff(self, basis11):
-        h = _constant(3.0)
+        h = custom_payoff(lambda x: np.full_like(x, 3.0))
         for x in (0.5, 2.0, 10.0):
             assert resolvent(basis11, m_prime, h, x) == pytest.approx(3.0 / 1.1, rel=1e-10)
 
@@ -204,6 +205,13 @@ class TestIntegrability:
         basis = excessive_basis(SPEC, 0.15)
         with pytest.raises(QuadratureError, match="not integrable"):
             resolvent(basis, m_prime, power(2.0), 2.0)
+
+    def test_non_finite_window_raises(self):
+        # an infinite or NaN window must not be summed into the tail
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_to_inf(lambda t: np.where(t > 1e3, np.inf, t ** -2.0), 1.0)
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_to_zero(lambda t: np.where(t < 1e-3, np.nan, 1.0), 1.0)
 
     def test_same_payoff_fine_at_higher_rate(self, basis11):
         got = resolvent(basis11, m_prime, power(2.0), 2.0)

@@ -16,6 +16,7 @@ from entrysolve import (
     Mode,
     NumericsError,
     ProblemParams,
+    QuadratureError,
     Viability,
     affine,
     check_entry_viability,
@@ -30,8 +31,6 @@ from entrysolve import (
     solve,
     solve_threshold,
     speed_density,
-    value_active,
-    value_idle,
 )
 from entrysolve.solver import _assemble, _break_even_state, _threshold_objective
 from entrysolve.diffusions import ExcessiveBasis
@@ -197,10 +196,6 @@ class TestIdleValue:
         with pytest.raises(ValueError):
             sol.value_idle(np.array([1.0, -3.0]))
 
-    def test_module_level_accessors(self, sol):
-        assert value_idle(sol, 3.0) == float(sol.value_idle(3.0))
-        assert value_active(sol, 3.0) == float(sol.value_active(3.0))
-
     def test_smooth_pasting_by_finite_differences(self, sol):
         eps = sol.x_star * 1e-6
         v = float(sol.value_idle(sol.x_star))
@@ -318,6 +313,14 @@ class TestEdgeProbabilities:
         for x in (2.0, 7.0):
             want = resolvent(basis_a, m_prime, PARAMS.h, x) - 1.0 / 1.1
             assert float(p0.value_active(x)) == pytest.approx(want, rel=1e-10)
+
+    def test_overflowing_tail_raises(self):
+        # well posed (rho_idle = 0.1 > alpha), but the speed density
+        # x^3.04 overflows before the upward tail walk for c_i1 settles
+        params = replace(PARAMS, p=1.0, h=power(1.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError, match="not finite"):
+            solve(gbm(0.095, BETA), params)
 
 
 class TestNormalizationInvariance:
