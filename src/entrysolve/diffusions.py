@@ -13,11 +13,12 @@ Three kinds are supported:
     combine a power with confluent hypergeometric factors M and U.
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
     numerically from a Riccati equation for (ln u)' on the log axis,
-    shot from each end of a working interval.
+    shot from each end of a working interval. The exponent B of the
+    scale and speed densities is the panel quadrature of 2 drift / vol^2
+    from x = 1 (_quad.fixed_panels), summed outward state by state.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._quad import fixed_panels
 from .errors import ConstructionError
 from .hypergeometric import _m_vec, _u_vec
 
@@ -122,94 +124,17 @@ def custom(drift: Callable, vol: Callable) -> DiffusionSpec:
 # scale and speed densities
 
 
-class _BTrack:
-    """Antiderivative B(v) = integral_0^v q(e^u) du on the log axis,
-    where q(x) = 2 x drift(x) / vol(x)^2, with lazy span extension."""
-
-    def __init__(self, spec: DiffusionSpec):
-        self._spec = spec
-        self._lo: Optional[object] = None
-        self._hi: Optional[object] = None
-        self._span_lo = 0.0
-        self._span_hi = 0.0
-
-    def _rhs(self, v, y):
-        x = math.exp(v)
-        d = float(self._spec.drift(np.asarray([x]))[0])
-        s2 = float(self._spec.vol(np.asarray([x]))[0]) ** 2
-        return [2.0 * x * d / s2]
-
-    def _extend(self, v_lo: float, v_hi: float) -> None:
-        if v_hi > self._span_hi:
-            target = max(v_hi + 1.0, self._span_hi + 4.0)
-            y0 = [0.0] if self._hi is None else list(self._hi.sol(self._span_hi))
-            sol = solve_ivp(self._rhs, (self._span_hi, target), y0,
-                            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-            if not sol.success:
-                raise ConstructionError(f"scale integral failed above x={math.exp(self._span_hi):g}")
-            self._hi = _chain(self._hi, sol)
-            self._span_hi = target
-        if v_lo < self._span_lo:
-            target = min(v_lo - 1.0, self._span_lo - 4.0)
-            y0 = [0.0] if self._lo is None else list(self._lo.sol(self._span_lo))
-            sol = solve_ivp(self._rhs, (self._span_lo, target), y0,
-                            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-            if not sol.success:
-                raise ConstructionError(f"scale integral failed below x={math.exp(self._span_lo):g}")
-            self._lo = _chain(self._lo, sol)
-            self._span_lo = target
-
-    def value(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.size == 0:
-            return np.zeros_like(v)
-        self._extend(float(np.min(v)), float(np.max(v)))
-        out = np.empty_like(v)
-        lo = v < 0.0
-        if np.any(lo):
-            out[lo] = self._lo.sol(v[lo])[0] if self._lo is not None else 0.0
-        if np.any(~lo):
-            out[~lo] = self._hi.sol(v[~lo])[0] if self._hi is not None else 0.0
-        return out
-
-
-class _ChainedSol:
-    """Concatenation of dense ODE solutions sharing endpoint states."""
-
-    def __init__(self, parts):
-        self._parts = parts
-        self._edges = [max(p.t[0], p.t[-1]) for p in parts]
-
-    @property
-    def sol(self):
-        return self
-
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((self._parts[0].sol(t_arr[:1]).shape[0], t_arr.size))
-        for j, tv in enumerate(t_arr):
-            i = bisect.bisect_left(self._edges, tv)
-            i = min(i, len(self._parts) - 1)
-            out[:, j] = self._parts[i].sol(tv)
-        return out[:, 0] if scalar else out
-
-
-def _chain(existing, new_sol):
-    if existing is None:
-        return new_sol
-    parts = existing._parts if isinstance(existing, _ChainedSol) else [existing]
-    ordered = sorted(parts + [new_sol], key=lambda p: min(p.t[0], p.t[-1]))
-    return _ChainedSol(ordered)
-
-
-@lru_cache(maxsize=32)
-def _b_track(spec: DiffusionSpec) -> _BTrack:
-    return _BTrack(spec)
+def _compensated_cumsum(t: np.ndarray) -> np.ndarray:
+    """np.cumsum with the rounding error of every step added back (a
+    vectorized two-sum), so long sums stay within about an ulp."""
+    s = np.cumsum(t)
+    prev = np.concatenate(([0.0], s[:-1]))
+    t_kept = s - prev
+    return s + np.cumsum((prev - (s - t_kept)) + (t - t_kept))
 
 
 def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:
-    """B(x) = integral of 2 drift / vol^2; S' = e^-B, speed has e^+B."""
+    """B(x) = integral_1^x 2 drift / vol^2; S' = e^-B, speed has e^+B."""
     x = np.asarray(x, dtype=float)
     if spec.kind is DiffusionKind.GBM:
         c = 2.0 * spec.alpha / spec.beta ** 2
@@ -218,7 +143,22 @@ def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:
         c = 2.0 * spec.alpha / spec.beta ** 2
         k = c * spec.gamma
         return c * np.log(x) - k * x
-    return _b_track(spec).value(np.log(x))
+
+    def q(t):
+        return 2.0 * spec.drift(t) / spec.vol(t) ** 2
+
+    flat = x.ravel()
+    order = np.argsort(flat)
+    xs = flat[order]
+    n_lo = int(np.searchsorted(xs, 1.0))
+    below, above = xs[:n_lo][::-1], xs[n_lo:]
+    # panel integrals between neighbouring states, summed outward from
+    # x = 1 on each side so that B(1) = 0 and no partial sums cancel
+    down = _compensated_cumsum(fixed_panels(q, below, np.append(1.0, below[:-1])))
+    up = _compensated_cumsum(fixed_panels(q, np.append(1.0, above[:-1]), above))
+    out = np.empty_like(flat)
+    out[order] = np.concatenate((-down[::-1], up))
+    return out.reshape(x.shape)
 
 
 def scale_density(spec: DiffusionSpec, x) -> np.ndarray:

@@ -109,8 +109,9 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
                       xs) -> tuple[np.ndarray, np.ndarray]:
     """(R_rho h) and its derivative on an ascending positive grid.
 
-    One tail walk per end plus one panel sweep across the grid, so the
-    cost is O(grid) rather than O(grid^2).
+    One tail walk per end, plus one elementwise panel sweep per branch
+    over all grid intervals, accumulated from each end with a cumulative
+    sum; the cost is O(grid) rather than O(grid^2).
 
     Returns:
         (values, primes) as float arrays aligned with xs.
@@ -125,15 +126,12 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     lo_lim, hi_lim = _limits(basis)
     f_psi = _integrand(basis.psi, h, m_prime)
     f_phi = _integrand(basis.phi, h, m_prime)
-    n = xs.size
-    i_lo = np.empty(n)
-    i_hi = np.empty(n)
-    i_lo[0] = integrate_to_zero(f_psi, xs[0], limit=lo_lim)
-    for k in range(1, n):
-        i_lo[k] = i_lo[k - 1] + fixed_panels(f_psi, xs[k - 1], xs[k])
-    i_hi[n - 1] = integrate_to_inf(f_phi, xs[n - 1], limit=hi_lim)
-    for k in range(n - 2, -1, -1):
-        i_hi[k] = i_hi[k + 1] + fixed_panels(f_phi, xs[k], xs[k + 1])
+    i_lo = np.cumsum(np.concatenate((
+        [integrate_to_zero(f_psi, xs[0], limit=lo_lim)],
+        fixed_panels(f_psi, xs[:-1], xs[1:]))))
+    i_hi = np.cumsum(np.concatenate((
+        [integrate_to_inf(f_phi, xs[-1], limit=hi_lim)],
+        fixed_panels(f_phi, xs[:-1], xs[1:])[::-1])))[::-1]
     w = basis.wronskian
     values = (basis.phi(xs) * i_lo + basis.psi(xs) * i_hi) / w
     primes = (basis.phi_prime(xs) * i_lo + basis.psi_prime(xs) * i_hi) / w

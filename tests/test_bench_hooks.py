@@ -7,6 +7,10 @@ drops one fails here rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import entrysolve as es
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -29,3 +33,19 @@ def test_install_patches_and_uninstall_restores():
         tracer.uninstall()
     for module, attr, original in saved:
         assert getattr(module, attr) is original, (module.__name__, attr)
+
+
+def test_grid_sweep_goes_through_the_hooked_panel_name():
+    # the per-layer panel metrics read 0 if resolvent_on_grid stops
+    # calling fixed_panels through the resolvent module's name
+    spec = es.gbm(0.05, 0.25)
+    basis = es.excessive_basis(spec, 1.1)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        es.resolvent_on_grid(basis, lambda t: es.speed_density(spec, t),
+                             es.power(0.5), np.geomspace(0.5, 4.0, 20))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["quad.panel.calls"] >= 1
+    assert tracer.counts["quad.integrand_points"] > 0

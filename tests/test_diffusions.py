@@ -18,6 +18,7 @@ from entrysolve import (
     speed_density,
     wronskian_check,
 )
+from entrysolve.diffusions import _b_of_x
 
 ALPHA, BETA = 0.05, 0.25
 C_EXP = 2.0 * ALPHA / BETA ** 2  # exponent in the scale density, 1.6
@@ -78,6 +79,25 @@ class TestSpecs:
         np.testing.assert_allclose(scale_density(spec, x), x ** (-C_EXP), rtol=1e-12)
         np.testing.assert_allclose(
             speed_density(spec, x), 2.0 / (BETA ** 2 * x ** 2) * x ** C_EXP, rtol=1e-12)
+
+    def test_custom_scale_exponent_closed_form(self):
+        # log mean-reverting: 2 drift / vol^2 = (2 kappa / sigma^2)(ln 6 - v) / x
+        # with v = ln x, so B(v) = (2 kappa / sigma^2)(v ln 6 - v^2 / 2)
+        kappa, sigma = 0.4, 0.35
+        spec = custom_diffusion(lambda x: kappa * x * (math.log(6.0) - np.log(x)),
+                                lambda x: sigma * x)
+        x = np.exp(np.linspace(-30.0, 30.0, 2001))
+        v = np.log(x)
+        want = 2.0 * kappa / sigma ** 2 * (v * math.log(6.0) - 0.5 * v * v)
+        got = _b_of_x(spec, x)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert float(_b_of_x(spec, 1.0)) == 0.0
+        # an interval centred on the zero of the drift has a near-zero
+        # integral, which must still pass the quadrature's error check
+        x = np.array([6.0 / 1.01, 6.0 * 1.01])
+        v = np.log(x)
+        want = 2.0 * kappa / sigma ** 2 * (v * math.log(6.0) - 0.5 * v * v)
+        np.testing.assert_allclose(_b_of_x(spec, x), want, rtol=0.0, atol=1e-13)
 
     def test_densities_positive_domain(self):
         spec = gbm(ALPHA, BETA)

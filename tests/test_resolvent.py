@@ -30,7 +30,8 @@ from entrysolve import (
     resolvent_split,
     speed_density,
 )
-from entrysolve._quad import integrate_to_inf, integrate_to_zero
+from entrysolve import custom_diffusion
+from entrysolve._quad import fixed_panels, integrate_to_inf, integrate_to_zero
 
 ALPHA, BETA = 0.05, 0.25
 SPEC = gbm(ALPHA, BETA)
@@ -213,8 +214,52 @@ class TestIntegrability:
         with pytest.raises(QuadratureError, match="not finite"):
             integrate_to_zero(lambda t: np.where(t < 1e-3, np.nan, 1.0), 1.0)
 
+    def test_non_finite_interval_raises(self):
+        # NaN strictly inside (2, 3): only the panel nodes of [2, 3] see it
+        def f(t):
+            return np.where((t > 2.0) & (t < 3.0), np.nan, 1.0 / t)
+
+        a, b = np.array([1.0, 3.0, 2.0, 4.0]), np.array([2.0, 4.0, 3.0, 5.0])
+        with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
+            fixed_panels(f, a, b)
+        with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
+            fixed_panels(f, 2.0, 3.0)
+        np.testing.assert_allclose(fixed_panels(f, a[:2], b[:2]),
+                                   np.log(b[:2] / a[:2]), rtol=1e-14)
+        assert isinstance(fixed_panels(f, 3.0, 4.0), float)
+
     def test_same_payoff_fine_at_higher_rate(self, basis11):
         got = resolvent(basis11, m_prime, power(2.0), 2.0)
         # E int e^(-rho t) X_t^2 dt = x^2 / (rho - 2 alpha - beta^2)
         want = 4.0 / (1.1 - 2.0 * ALPHA - BETA ** 2)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestIntegrandWidth:
+    """Panels reach the integrand in blocks of at most 16 panels of 32
+    nodes, however many intervals a call covers."""
+
+    LIMIT = 16 * 32
+
+    def test_grid_sweep(self, basis11):
+        widths = []
+
+        def h(x):
+            widths.append(len(x))
+            return np.sqrt(x)
+
+        resolvent_on_grid(basis11, m_prime, custom_payoff(h),
+                          np.geomspace(0.05, 50.0, 2000))
+        assert widths and max(widths) <= self.LIMIT
+
+    def test_custom_speed_density(self):
+        widths = []
+
+        def drift(x):
+            widths.append(len(x))
+            return 0.4 * x * (math.log(6.0) - np.log(x))
+
+        spec = custom_diffusion(drift, lambda x: 0.35 * x)
+        widths.clear()
+        speed_density(spec, np.geomspace(1e-4, 1e4, 2000))
+        assert widths and max(widths) <= self.LIMIT
