@@ -13,7 +13,8 @@ Three kinds are supported:
     combine a power with confluent hypergeometric factors M and U.
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
     numerically from a Riccati equation for (ln u)' on the log axis,
-    shot from each end of a working interval. The exponent B of the
+    each in one stiff LSODA shot with the analytic Jacobian across
+    |ln x| <= 30, from the end where it vanishes. The exponent B of the
     scale and speed densities is the panel quadrature of 2 drift / vol^2
     from x = 1 (_quad.fixed_panels), summed outward state by state.
 """
@@ -32,12 +33,11 @@ from ._quad import fixed_panels
 from .errors import ConstructionError
 from .hypergeometric import _m_vec, _u_vec
 
-_DECAY_TOL = 1e-10
-_SPAN_INIT = 6.0
-_SPAN_STEP = 6.0
-_SPAN_CAP = 30.0
+_SPAN = 30.0
 _SPAN_HARD_CAP = 34.0
 _SHOT_BUFFER = 2.0
+# two models' (rho_idle, rho_active) pairs
+_CUSTOM_CACHE_SIZE = 4
 
 
 class DiffusionKind(Enum):
@@ -270,76 +270,72 @@ def _logistic_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
 class _RiccatiCore:
     """Numerically shot psi/phi pair for a CUSTOM model.
 
-    Solves s' = s - s^2 + (2 x^2 / vol^2)(rho - drift * s / x) on
-    v = ln x for s = (ln u)', upward from the lower end (increasing
-    branch) and downward from the upper end (decreasing branch), then
-    recovers u = exp(integral s dv) normalized to u(1) = 1.
+    Solves s' = s - s^2 + r(v) - q(v) s on v = ln x for s = (ln u)',
+    with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2, together with
+    w' = s for w = ln u. Each branch is one stiff LSODA shot given the
+    analytic Jacobian [[0, 1], [0, 1 - 2s - q]]: upward from below the
+    lower end of the span (increasing branch psi) and downward from
+    above its upper end (decreasing branch phi), each started on the
+    local root of s^2 - (1 - q) s - r = 0 that it tends to. Then
+    u = exp(w - w(0)), normalized to u(1) = 1.
     """
 
     def __init__(self, spec: DiffusionSpec, rho: float):
         self._spec = spec
         self._rho = rho
-        v_lo, v_hi = -_SPAN_INIT, _SPAN_INIT
-        while True:
-            self._shoot(v_lo, v_hi)
-            need_lo = self._w_psi(v_lo) - self._w_psi(0.0) > math.log(_DECAY_TOL) \
-                and v_lo > -_SPAN_CAP
-            need_hi = self._w_phi(v_hi) - self._w_phi(0.0) > math.log(_DECAY_TOL) \
-                and v_hi < _SPAN_CAP
-            if not (need_lo or need_hi):
-                break
-            if need_lo:
-                v_lo = max(v_lo - _SPAN_STEP, -_SPAN_CAP)
-            if need_hi:
-                v_hi = min(v_hi + _SPAN_STEP, _SPAN_CAP)
-        self.v_lo, self.v_hi = v_lo, v_hi
-        self._check_monotone()
+        self._shoot(-_SPAN, _SPAN)
+
+    def _coefs(self, v: float) -> tuple[float, float]:
+        x = math.exp(v)
+        at = np.asarray([x])
+        d = float(self._spec.drift(at)[0])
+        s2 = float(self._spec.vol(at)[0]) ** 2
+        return 2.0 * x * d / s2, 2.0 * x * x * self._rho / s2
 
     def _rhs(self, v, y):
-        x = math.exp(v)
-        d = float(self._spec.drift(np.asarray([x]))[0])
-        s2 = float(self._spec.vol(np.asarray([x]))[0]) ** 2
+        q, r = self._coefs(v)
         s = y[1]
-        ds = s - s * s + (2.0 * x * x / s2) * (self._rho - d * s / x)
-        return [s, ds]
+        return [s, s - s * s + r - q * s]
 
-    def _asym_roots(self, v: float) -> tuple[float, float]:
-        x = math.exp(v)
-        d = float(self._spec.drift(np.asarray([x]))[0])
-        s2 = float(self._spec.vol(np.asarray([x]))[0]) ** 2
-        q = 2.0 * x * d / s2
-        disc = math.sqrt((1.0 - q) ** 2 + 8.0 * x * x * self._rho / s2)
-        return 0.5 * ((1.0 - q) + disc), 0.5 * ((1.0 - q) - disc)
+    def _jac(self, v, y):
+        q, _ = self._coefs(v)
+        return [[0.0, 1.0], [0.0, 1.0 - 2.0 * y[1] - q]]
+
+    def _branch(self, start: float, end: float, upward: bool):
+        q, r = self._coefs(start)
+        disc = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
+        s0 = 0.5 * ((1.0 - q) + disc if upward else (1.0 - q) - disc)
+        # an absolute error in w = ln u is a relative error in u: 1e-10
+        # keeps u as accurate as s allows, while the atol of s on w too
+        # makes LSODA fail on stiff models (logistic drift at rho = 0.6)
+        return solve_ivp(self._rhs, (start, end), [0.0, s0], method="LSODA",
+                         jac=self._jac, rtol=1e-12, atol=[1e-10, 1e-14],
+                         dense_output=True)
 
     def _shoot(self, v_lo: float, v_hi: float) -> None:
-        start = v_lo - _SHOT_BUFFER
-        s_plus, _ = self._asym_roots(start)
-        up = solve_ivp(self._rhs, (start, v_hi), [0.0, s_plus],
-                       method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-        start = v_hi + _SHOT_BUFFER
-        _, s_minus = self._asym_roots(start)
-        down = solve_ivp(self._rhs, (start, v_lo), [0.0, s_minus],
-                         method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-        if not (up.success and down.success):
-            raise ConstructionError(
-                f"eigenfunction shooting failed for rho={self._rho} "
-                f"on x in [{math.exp(v_lo):.3g}, {math.exp(v_hi):.3g}]")
-        self._up, self._down = up, down
-
-    def _w_psi(self, v: float) -> float:
-        return float(self._up.sol(v)[0])
-
-    def _w_phi(self, v: float) -> float:
-        return float(self._down.sol(v)[0])
-
-    def _check_monotone(self) -> None:
-        grid = np.linspace(self.v_lo, self.v_hi, 201)
-        s_up = self._up.sol(grid)[1]
-        s_dn = self._down.sol(grid)[1]
-        if np.any(s_up < -1e-9):
+        failed = (f"eigenfunction shooting failed for rho={self._rho} "
+                  f"on x in [{math.exp(v_lo):.3g}, {math.exp(v_hi):.3g}]")
+        try:
+            up = self._branch(v_lo - _SHOT_BUFFER, v_hi, True)
+            down = self._branch(v_hi + _SHOT_BUFFER, v_lo, False)
+        except ValueError as exc:
+            # scipy's dense output rejects an LSODA step that stalled to length 0
+            raise ConstructionError(failed) from exc
+        if not (up.success and down.success
+                and np.all(np.isfinite(up.y)) and np.all(np.isfinite(down.y))):
+            raise ConstructionError(failed)
+        grid = np.linspace(v_lo, v_hi, 201)
+        if np.any(up.sol(grid)[1] < -1e-9):
             raise ConstructionError("increasing eigenfunction lost monotonicity")
-        if np.any(s_dn > 1e-9):
+        if np.any(down.sol(grid)[1] > 1e-9):
             raise ConstructionError("decreasing eigenfunction lost monotonicity")
+        w_up, s_up = up.sol(0.0)
+        w_down, s_down = down.sol(0.0)
+        # each branch's dense solution and w(0) = ln u(1), which u is normalized by
+        self._branches = {"psi": (up.sol, float(w_up)), "phi": (down.sol, float(w_down))}
+        # psi = phi = S' = 1 at x = 1, so the wronskian is psi'(1) - phi'(1)
+        self.wronskian = float(s_up - s_down)
+        self.v_lo, self.v_hi = v_lo, v_hi
 
     def _ensure(self, v_min: float, v_max: float) -> None:
         if v_min >= self.v_lo and v_max <= self.v_hi:
@@ -348,10 +344,8 @@ class _RiccatiCore:
             raise ConstructionError(
                 f"state outside supported range [{math.exp(-_SPAN_HARD_CAP):.3g}, "
                 f"{math.exp(_SPAN_HARD_CAP):.3g}]")
-        self.v_lo = min(self.v_lo, math.floor(v_min - 1.0))
-        self.v_hi = max(self.v_hi, math.ceil(v_max + 1.0))
-        self._shoot(self.v_lo, self.v_hi)
-        self._check_monotone()
+        self._shoot(min(self.v_lo, math.floor(v_min - 1.0)),
+                    max(self.v_hi, math.ceil(v_max + 1.0)))
 
     def eval(self, x: np.ndarray, which: str, deriv: bool) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -359,44 +353,59 @@ class _RiccatiCore:
             raise ValueError("state values must be positive")
         v = np.log(x)
         self._ensure(float(np.min(v)), float(np.max(v)))
-        sol = self._up if which == "psi" else self._down
-        ws = sol.sol(np.atleast_1d(v))
-        u = np.exp(ws[0] - float(sol.sol(0.0)[0]))
+        sol, w0 = self._branches[which]
+        ws = sol(np.atleast_1d(v))
+        u = np.exp(ws[0] - w0)
         out = u * ws[1] / np.atleast_1d(x) if deriv else u
         return out.reshape(np.shape(x)) if np.shape(x) else out[0]
 
 
+@lru_cache(maxsize=_CUSTOM_CACHE_SIZE)
 def _custom_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     core = _RiccatiCore(spec, rho)
-    w = float(core._up.sol(0.0)[1] - core._down.sol(0.0)[1])
     return ExcessiveBasis(
         rho=rho,
         psi=lambda x: core.eval(x, "psi", False),
         phi=lambda x: core.eval(x, "phi", False),
         psi_prime=lambda x: core.eval(x, "psi", True),
         phi_prime=lambda x: core.eval(x, "phi", True),
-        wronskian=w,
+        wronskian=core.wronskian,
         scale=lambda x: scale_density(spec, x),
         x_lo=math.exp(core.v_lo),
         x_hi=math.exp(core.v_hi))
 
 
 @lru_cache(maxsize=128)
+def _closed_form_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
+    if spec.kind is DiffusionKind.LOGISTIC and spec.gamma != 0.0:
+        return _logistic_basis(spec, rho)
+    return _gbm_basis(spec, rho)
+
+
 def excessive_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     """Increasing/decreasing solutions of A u = rho u for this model.
 
-    Results are cached per (spec, rho). Raises ConstructionError if a
-    numeric basis cannot be built or loses monotonicity.
+    Results are cached per (spec, rho). CUSTOM bases, which hold two
+    dense ODE solutions each and whose specs are new with every new
+    callable, have a cache of their own of _CUSTOM_CACHE_SIZE entries.
+    Raises ConstructionError if a numeric basis cannot be built or
+    loses monotonicity.
     """
     if rho <= 0.0:
         raise ValueError(f"discount rate rho must be positive, got {rho}")
-    if spec.kind is DiffusionKind.GBM:
-        return _gbm_basis(spec, rho)
-    if spec.kind is DiffusionKind.LOGISTIC:
-        if spec.gamma == 0.0:
-            return _gbm_basis(spec, rho)
-        return _logistic_basis(spec, rho)
-    return _custom_basis(spec, rho)
+    if spec.kind is DiffusionKind.CUSTOM:
+        return _custom_basis(spec, rho)
+    return _closed_form_basis(spec, rho)
+
+
+def _cache_info():
+    """functools' cache statistics summed over both basis caches, so
+    that excessive_basis.cache_info() reads as for a single cache."""
+    infos = (_closed_form_basis.cache_info(), _custom_basis.cache_info())
+    return type(infos[0])(*map(sum, zip(*infos)))
+
+
+excessive_basis.cache_info = _cache_info
 
 
 def wronskian_check(basis: ExcessiveBasis, grid) -> float:

@@ -10,15 +10,18 @@ import pytest
 
 from entrysolve import (
     ConstructionError,
+    ProblemParams,
     custom_diffusion,
     excessive_basis,
     gbm,
     logistic,
+    power,
     scale_density,
+    solve_threshold,
     speed_density,
     wronskian_check,
 )
-from entrysolve.diffusions import _b_of_x
+from entrysolve.diffusions import _CUSTOM_CACHE_SIZE, _b_of_x, _custom_basis
 
 ALPHA, BETA = 0.05, 0.25
 C_EXP = 2.0 * ALPHA / BETA ** 2  # exponent in the scale density, 1.6
@@ -220,3 +223,53 @@ class TestCustomBasis:
         got, _ = pair
         with pytest.raises(ValueError):
             got.psi(np.array([1.0, 0.0]))
+
+
+# the demo problem: rho_idle = 0.6, rho_active = 1.1
+DEMO_PARAMS = ProblemParams(r=0.1, lam=1.0, p=0.5, K=1.0, C=1.0, h=power(0.5))
+
+
+class TestStiffShot:
+    """One LSODA shot per branch, on models that are stiff at large |ln x|."""
+
+    def test_logistic_as_custom_matches_closed_form(self):
+        spec_c = custom_diffusion(lambda x: ALPHA * x * (1.0 - 0.2 * x), lambda x: BETA * x)
+        spec_l = logistic(ALPHA, BETA, 0.2)
+        x = np.geomspace(0.3, 12.0, 40)
+        for rho in (0.6, 1.1):
+            got, want = excessive_basis(spec_c, rho), excessive_basis(spec_l, rho)
+            for which in ("psi", "phi"):
+                u = getattr(want, which)
+                np.testing.assert_allclose(getattr(got, which)(x), u(x) / u(1.0), rtol=1e-8)
+        assert solve_threshold(spec_c, DEMO_PARAMS) == pytest.approx(
+            solve_threshold(spec_l, DEMO_PARAMS), rel=1e-8)
+
+    def test_log_mean_reverting_pair_drift_calls(self):
+        calls = 0
+
+        def drift(x):
+            nonlocal calls
+            calls += 1
+            return 0.4 * x * (math.log(6.0) - np.log(x))
+
+        spec = custom_diffusion(drift, lambda x: 0.35 * x)
+        calls = 0  # the spec probes its callables once
+        for rho in (DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active):
+            excessive_basis(spec, rho)
+        assert calls < 50_000
+
+    def test_non_finite_shot_raises(self):
+        # finite on the spec's probe grid, NaN in the middle of the upper span
+        spec = custom_diffusion(
+            lambda x: np.where((x > 1e5) & (x < 1e8), np.nan, ALPHA * x),
+            lambda x: BETA * x)
+        with pytest.raises(ConstructionError, match="shooting failed"):
+            excessive_basis(spec, 1.1)
+
+    def test_custom_cache_is_bounded(self):
+        for _ in range(_CUSTOM_CACHE_SIZE + 1):
+            excessive_basis(custom_diffusion(lambda x: ALPHA * x, lambda x: BETA * x), 1.1)
+        assert _custom_basis.cache_info().currsize == _CUSTOM_CACHE_SIZE
+        # closed-form bases keep their own cache
+        assert excessive_basis(gbm(ALPHA, BETA), 1.1) is excessive_basis(gbm(ALPHA, BETA), 1.1)
+        assert excessive_basis.cache_info().hits >= 1
