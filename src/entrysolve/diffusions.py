@@ -290,6 +290,10 @@ class _RiccatiCore:
         at = np.asarray([x])
         d = float(self._spec.drift(at)[0])
         s2 = float(self._spec.vol(at)[0]) ** 2
+        if not 0.0 < s2 < math.inf:
+            raise ConstructionError(
+                f"volatility squared is {s2} at x={x:.6g}, where the shot for "
+                f"rho={self._rho} needs it positive and finite")
         return 2.0 * x * d / s2, 2.0 * x * x * self._rho / s2
 
     def _rhs(self, v, y):

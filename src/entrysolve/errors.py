@@ -16,7 +16,8 @@ class QuadratureError(NumericsError):
 
 
 class AccuracyError(NumericsError):
-    """A special-function quadrature reported an error above its tolerance."""
+    """A special function evaluated to a value outside its range, such as
+    an infinite (overflowing) U."""
 
 
 class ConstructionError(NumericsError):

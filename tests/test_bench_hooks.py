@@ -49,3 +49,19 @@ def test_grid_sweep_goes_through_the_hooked_panel_name():
         tracer.uninstall()
     assert tracer.counts["quad.panel.calls"] >= 1
     assert tracer.counts["quad.integrand_points"] > 0
+
+
+def test_logistic_u_at_p_one_makes_no_quadpack_calls():
+    # rho_idle = 0.1 puts U's first parameter below 3: the small-a,
+    # small-z rule, which must not fall back to scipy's quad
+    spec = es.logistic(0.05, 0.25, 0.2)
+    params = es.ProblemParams(r=0.1, lam=1.0, p=1.0, K=1.0, C=1.0, h=es.power(0.5))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        solution = es.solve(spec, params)
+        solution.value_idle(np.linspace(solution.x_star / 50.0, 2.0 * solution.x_star, 201))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["hypergeometric.u_quadpack.calls"] == 0
+    assert tracer.counts["hypergeometric.u.calls"] > 0

@@ -266,6 +266,15 @@ class TestStiffShot:
         with pytest.raises(ConstructionError, match="shooting failed"):
             excessive_basis(spec, 1.1)
 
+    def test_zero_volatility_at_shot_start_raises(self):
+        # positive on the spec's probe grid, 0 below 1e-5 where the upward
+        # shot starts (x = e^-32)
+        spec = custom_diffusion(lambda x: 0.05 * x,
+                                lambda x: np.where(x < 1e-5, 0.0, 0.25 * x))
+        with pytest.raises(ConstructionError,
+                           match=r"volatility squared is 0\.0 at x=1\.26642e-14"):
+            excessive_basis(spec, 1.1)
+
     def test_custom_cache_is_bounded(self):
         for _ in range(_CUSTOM_CACHE_SIZE + 1):
             excessive_basis(custom_diffusion(lambda x: ALPHA * x, lambda x: BETA * x), 1.1)
