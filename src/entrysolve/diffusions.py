@@ -73,14 +73,16 @@ class DiffusionSpec:
 
     def __post_init__(self):
         if self.kind in (DiffusionKind.GBM, DiffusionKind.LOGISTIC):
-            if self.beta <= 0.0:
-                raise ValueError(f"volatility beta must be positive, got {self.beta}")
+            if not math.isfinite(self.alpha):
+                raise ValueError(f"drift alpha must be finite, got {self.alpha}")
+            if not 0.0 < self.beta < math.inf:
+                raise ValueError(f"volatility beta must be finite and > 0, got {self.beta}")
             if self.custom_drift is not None or self.custom_vol is not None:
                 raise ValueError(f"{self.kind.value} model does not take custom callables")
             if self.kind is DiffusionKind.GBM and self.gamma != 0.0:
                 raise ValueError("GBM does not take a crowding coefficient gamma")
-            if self.kind is DiffusionKind.LOGISTIC and self.gamma < 0.0:
-                raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            if self.kind is DiffusionKind.LOGISTIC and not 0.0 <= self.gamma < math.inf:
+                raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
         else:
             if self.custom_drift is None or self.custom_vol is None:
                 raise ValueError("CUSTOM model needs both custom_drift and custom_vol")
@@ -395,8 +397,8 @@ def excessive_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     Raises ConstructionError if a numeric basis cannot be built or
     loses monotonicity.
     """
-    if rho <= 0.0:
-        raise ValueError(f"discount rate rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"discount rate rho must be positive and finite, got {rho}")
     if spec.kind is DiffusionKind.CUSTOM:
         return _custom_basis(spec, rho)
     return _closed_form_basis(spec, rho)

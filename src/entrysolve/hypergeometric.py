@@ -42,6 +42,10 @@ from scipy.special import hyp1f1, roots_genlaguerre, roots_laguerre
 from .errors import AccuracyError
 
 _GL_NODES = 128
+# points per Laguerre-sum block: a (points x nodes) temporary of 64 KB stays
+# under glibc's 128 KB mmap threshold; larger ones can be mapped or trimmed
+# and faulted in again on every call, which costs as much as the sum itself
+_GL_BLOCK = 64
 # the three pieces of the small-a, small-z rule
 _JACOBI_NODES = 20
 _PANELS = 12
@@ -142,7 +146,12 @@ def _laguerre_floor(a: float, b: float) -> float:
 def _u_laguerre(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """U over a 1-D array z by one generalized Gauss-Laguerre sum."""
     s, w = _genlaguerre_rule(a - 1.0, _GL_NODES)
-    vals = np.sum(w[None, :] * (z[:, None] + s[None, :]) ** (b - a - 1.0), axis=1)
+    vals = np.empty_like(z)
+    for lo in range(0, z.size, _GL_BLOCK):
+        terms = z[lo:lo + _GL_BLOCK, None] + s
+        np.power(terms, b - a - 1.0, out=terms)
+        terms *= w
+        vals[lo:lo + _GL_BLOCK] = terms.sum(axis=1)
     return np.exp((1.0 - b) * np.log(z) - math.lgamma(a)) * vals
 
 

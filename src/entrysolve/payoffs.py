@@ -7,6 +7,7 @@ after probing it for the same basic sanity requirements.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -56,8 +57,8 @@ def _validate(evaluator: Callable[[np.ndarray], np.ndarray], label: str) -> None
 
 def power(theta: float) -> Payoff:
     """h(x) = x**theta with theta > 0."""
-    if theta <= 0.0:
-        raise ValueError(f"power payoff needs theta > 0, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"power payoff needs finite theta > 0, got {theta}")
 
     def ev(x: np.ndarray) -> np.ndarray:
         return np.power(x, theta)
@@ -68,8 +69,8 @@ def power(theta: float) -> Payoff:
 def affine(slope: float) -> Payoff:
     """h(x) = slope * x. slope = 0 is allowed and gives the degenerate
     zero payoff, for which entry is never worthwhile."""
-    if slope < 0.0:
-        raise ValueError(f"affine payoff needs slope >= 0, got {slope}")
+    if not 0.0 <= slope < math.inf:
+        raise ValueError(f"affine payoff needs finite slope >= 0, got {slope}")
 
     def ev(x: np.ndarray) -> np.ndarray:
         return slope * x
@@ -79,8 +80,8 @@ def affine(slope: float) -> Payoff:
 
 def saturating(cap: float, scale: float) -> Payoff:
     """h(x) = cap * (1 - exp(-scale * x)), bounded by cap."""
-    if cap <= 0.0 or scale <= 0.0:
-        raise ValueError(f"saturating payoff needs cap > 0 and scale > 0, got {cap}, {scale}")
+    if not (0.0 < cap < math.inf and 0.0 < scale < math.inf):
+        raise ValueError(f"saturating payoff needs finite cap, scale > 0, got {cap}, {scale}")
 
     def ev(x: np.ndarray) -> np.ndarray:
         return cap * (-np.expm1(-scale * x))

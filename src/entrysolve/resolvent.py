@@ -47,36 +47,25 @@ def _integrand(u: Callable, g: Callable, m_prime: Callable) -> Callable:
     return f
 
 
-def _tails(basis: ExcessiveBasis, m_prime: Callable, h, x: float) -> tuple[float, float]:
-    lo_lim, hi_lim = _limits(basis)
-    i_lo = integrate_to_zero(_integrand(basis.psi, h, m_prime), x, limit=lo_lim)
-    i_hi = integrate_to_inf(_integrand(basis.phi, h, m_prime), x, limit=hi_lim)
-    return i_lo, i_hi
-
-
 def _check_scalar_state(x) -> float:
     if np.ndim(x) != 0:
         raise ValueError("state x must be a scalar; use resolvent_on_grid for arrays")
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"state x must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"state x must be positive and finite, got {x}")
     return x
 
 
 def resolvent(basis: ExcessiveBasis, m_prime: Callable, h: Payoff, x) -> float:
-    """(R_rho h)(x) for a non-negative payoff h."""
-    x = _check_scalar_state(x)
-    i_lo, i_hi = _tails(basis, m_prime, h, x)
-    return float((basis.phi(np.asarray([x]))[0] * i_lo
-                  + basis.psi(np.asarray([x]))[0] * i_hi) / basis.wronskian)
+    """(R_rho h)(x) for a non-negative payoff h: resolvent_on_grid at x."""
+    values, _ = resolvent_on_grid(basis, m_prime, h, [_check_scalar_state(x)])
+    return float(values[0])
 
 
 def resolvent_prime(basis: ExcessiveBasis, m_prime: Callable, h: Payoff, x) -> float:
-    """d/dx of (R_rho h) at x, via the derivative representation."""
-    x = _check_scalar_state(x)
-    i_lo, i_hi = _tails(basis, m_prime, h, x)
-    return float((basis.phi_prime(np.asarray([x]))[0] * i_lo
-                  + basis.psi_prime(np.asarray([x]))[0] * i_hi) / basis.wronskian)
+    """d/dx of (R_rho h) at x: the derivative from resolvent_on_grid at x."""
+    _, primes = resolvent_on_grid(basis, m_prime, h, [_check_scalar_state(x)])
+    return float(primes[0])
 
 
 def resolvent_split(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
@@ -119,8 +108,8 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
-    if np.any(xs <= 0.0):
-        raise ValueError("grid states must be positive")
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise ValueError("grid states must be positive and finite")
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("grid states must be strictly increasing")
     lo_lim, hi_lim = _limits(basis)

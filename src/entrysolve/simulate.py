@@ -81,9 +81,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon_T <= 0.0:
+        if not self.horizon_T > 0.0:
             raise ValueError(f"horizon_T must be positive, got {self.horizon_T}")
         if not 0.0 < self.discount_floor < 1.0:
             raise ValueError(
@@ -358,8 +358,8 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
                 start_flags, x0: float, cfg: SimConfig) -> list[PolicyEstimate]:
     """Evaluate several (threshold, start_active) policy rows on one
     shared set of paths; row i is bit-identical to a standalone run."""
-    if x0 <= 0.0:
-        raise ValueError(f"starting state x0 must be positive, got {x0}")
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"starting state x0 must be positive and finite, got {x0}")
     thresholds = [float(t) for t in thresholds]
     for t in thresholds:
         if not t > 0.0:
@@ -452,7 +452,7 @@ def threshold_suboptimality_scan(spec: DiffusionSpec, params: ProblemParams,
     ms = [float(m) for m in multipliers]
     if not ms:
         raise ValueError("multipliers must be non-empty")
-    if any(m <= 0.0 for m in ms):
+    if not all(m > 0.0 for m in ms):
         raise ValueError("multipliers must be positive")
     if 1.0 not in ms:
         raise ValueError("multipliers must include 1.0 as the reference point")

@@ -9,12 +9,24 @@ With rho_idle = r + (1-p) lambda and rho_active = r + lambda, the
 optimal idle policy is a threshold rule: enter when X >= x*, where x*
 is the unique root above the static break-even point x_C of
 
-    F(x) = integral_0^x psi_{rho_active}(z) (h(z) - kappa) m'(z) dz,
-    kappa = C + (r + lambda) K.
+    F(x) = integral_0^x psi_a(z) (h(z) - kappa) m'(z) dz,
+    kappa = C + (r + lambda) K,
 
-F does not involve p, so the threshold is the same for every success
-probability. The value functions are assembled from the resolvent and
-the eigenfunction pair at the two rates.
+with (psi_i, phi_i) and (psi_a, phi_a) the eigenfunction pairs at the
+idle and active rates and W_i, W_a their wronskians. F does not involve
+p, so the threshold is the same for every success probability.
+
+The three coefficients are projections of the net flow h - kappa on
+the eigenfunctions on either side of x*, one tail integral each:
+
+    c_i1 =  W_i^-1 integral_x*^inf phi_i (h - kappa) m',
+    d_i2 = -W_i^-1 integral_0^x*   psi_i (h - kappa) m',
+    c_a1 = -W_a^-1 integral_x*^inf phi_a (h - kappa) m'.
+
+c_i1 psi_i - d_i2 phi_i is R_i(h - kappa) at x*, so continuity of the
+active value at x* leaves c_a1 = -R_a(h - kappa)(x*) / psi_a(x*), whose
+part below x* is F(x*) = 0. So c_a1 involves only the active rate and,
+like x*, is the same for every p.
 """
 from __future__ import annotations
 
@@ -31,7 +43,9 @@ from ._quad import integrate_to_inf, integrate_to_zero
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
 from .errors import NumericsError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
-from .resolvent import _integrand, _limits, resolvent, resolvent_on_grid, resolvent_prime
+from .resolvent import _integrand, _limits, resolvent_on_grid
+# unused; perfbench/tracing.py patches these names
+from .resolvent import resolvent, resolvent_prime  # noqa: F401
 
 
 class Mode(Enum):
@@ -65,14 +79,14 @@ class ProblemParams:
     h: Payoff
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"discount rate r must be positive, got {self.r}")
-        if self.lam <= 0.0:
-            raise ValueError(f"exit intensity lam must be positive, got {self.lam}")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"discount rate r must be positive and finite, got {self.r}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"exit intensity lam must be positive and finite, got {self.lam}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability p must lie in [0, 1], got {self.p}")
-        if self.K < 0.0 or self.C < 0.0:
-            raise ValueError(f"costs must be non-negative, got K={self.K}, C={self.C}")
+        if not (0.0 <= self.K < math.inf and 0.0 <= self.C < math.inf):
+            raise ValueError(f"costs must be finite and non-negative, got K={self.K}, C={self.C}")
         if self.K + self.C <= 0.0:
             raise ValueError("at least one of K, C must be strictly positive")
 
@@ -214,34 +228,27 @@ def solve_threshold(spec: DiffusionSpec, params: ProblemParams) -> float:
 def _coefs_from_bases(params: ProblemParams, m_prime: Callable, x_star: float,
                       basis_i: ExcessiveBasis,
                       basis_a: ExcessiveBasis) -> tuple[float, float, float]:
-    kappa = params.break_even
-    h = params.h
-    lo_lim, hi_lim = _limits(basis_i)
     net = _net_flow(params)
+    lo_i, hi_i = _limits(basis_i)
+    _, hi_a = _limits(basis_a)
     c_i1 = integrate_to_inf(_integrand(basis_i.phi, net, m_prime), x_star,
-                            limit=hi_lim) / basis_i.wronskian
+                            limit=hi_i) / basis_i.wronskian
     d_i2 = -integrate_to_zero(_integrand(basis_i.psi, net, m_prime), x_star,
-                              limit=lo_lim) / basis_i.wronskian
+                              limit=lo_i) / basis_i.wronskian
     if not c_i1 > 0.0:
         raise NumericsError(f"entry coefficient c_i1 = {c_i1:.3e} is not positive")
-
-    ri_hc = resolvent(basis_i, m_prime, h, x_star) - kappa / params.rho_idle
-    ra_hc = resolvent(basis_a, m_prime, h, x_star) - kappa / params.rho_active
-    at = np.asarray([x_star])
-    c_a1 = float((ri_hc - ra_hc
-                  - c_i1 * basis_i.psi(at)[0]
-                  + d_i2 * basis_i.phi(at)[0]) / basis_a.psi(at)[0])
-    return float(c_i1), float(d_i2), c_a1
+    c_a1 = -integrate_to_inf(_integrand(basis_a.phi, net, m_prime), x_star,
+                             limit=hi_a) / basis_a.wronskian
+    return float(c_i1), float(d_i2), float(c_a1)
 
 
 def coefficients(spec: DiffusionSpec, params: ProblemParams,
                  x_star: float) -> tuple[float, float, float]:
     """Value-function coefficients (c_i1, d_i2, c_a1) at threshold x_star.
 
-    c_i1 and d_i2 are wronskian-normalized projections of h - kappa on
-    the idle-rate basis on either side of x*; c_a1 pastes the active
-    branches together, with the double resolvent reduced through the
-    resolvent equation so only single quadratures appear.
+    Each is one wronskian-normalized projection of h - kappa, as in the
+    module docstring. The formula for c_a1 drops F(x_star), so the three
+    hold only at the root x* of F, not at an arbitrary x_star.
     """
     basis_i = excessive_basis(spec, params.rho_idle)
     basis_a = excessive_basis(spec, params.rho_active)
@@ -254,8 +261,8 @@ def _piecewise(x, x_star: float, below: Callable, above: Callable):
     receives a sorted unique grid and returns aligned values."""
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0.0):
-        raise ValueError("state values must be positive")
+    if not np.all((x_arr > 0.0) & (x_arr < math.inf)):
+        raise ValueError("state values must be positive and finite")
     out = np.empty_like(x_arr)
     lo_mask = x_arr < x_star
     for mask, fn in ((lo_mask, below), (~lo_mask, above)):
@@ -263,6 +270,10 @@ def _piecewise(x, x_star: float, below: Callable, above: Callable):
             grid, inv = np.unique(x_arr[mask], return_inverse=True)
             out[mask] = fn(grid)[inv]
     return float(out[0]) if scalar else out
+
+
+def _relative_gap(a: float, b: float) -> float:
+    return float(abs(a - b) / max(abs(a), abs(b), 1e-300))
 
 
 def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
@@ -277,7 +288,6 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
     kappa = params.break_even
     h = params.h
     rho_i, rho_a = params.rho_idle, params.rho_active
-    at = np.asarray([x_star])
     c_i1, d_i2, c_a1 = _coefs_from_bases(params, m_prime, x_star, basis_i, basis_a)
 
     def idle_below(grid):
@@ -309,26 +319,22 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
     def branch_upper_fn(x):
         return _piecewise(x, math.inf, idle_above, idle_above)
 
-    # pasting diagnostics: the two idle branches and their slopes at x*
-    lower_v = float(idle_below(at)[0])
-    upper_v = float(idle_above(at)[0])
-    scale_v = max(abs(lower_v), abs(upper_v), 1e-300)
-    gap_value = abs(lower_v - upper_v) / scale_v
-    lower_s = float(c_i1 * basis_i.psi_prime(at)[0])
-    upper_s = resolvent_prime(basis_i, m_prime, h, x_star) \
-        + d_i2 * float(basis_i.phi_prime(at)[0])
-    scale_s = max(abs(lower_s), abs(upper_s), 1e-300)
-    gap_slope = abs(lower_s - upper_s) / scale_s
-
-    check_grid = np.geomspace(x_star / 25.0, 4.0 * x_star, 48)
-    rh, _ = resolvent_on_grid(basis_i, m_prime, h, check_grid)
-    gi = value_idle_fn(check_grid)
-    growth_margin = float(np.min((rh - gi) / np.maximum(rh, 1e-300)))
+    # every diagnostic from one idle-rate sweep, with x* as a node:
+    # the two idle branches and their slopes at x*, and R_i h - V_i
+    grid = np.union1d(np.geomspace(x_star / 25.0, 4.0 * x_star, 48), x_star)
+    k = int(np.searchsorted(grid, x_star))
+    rh, rh_prime = resolvent_on_grid(basis_i, m_prime, h, grid)
+    lower = idle_below(grid)
+    upper = rh - kappa / rho_i + d_i2 * basis_i.phi(grid)
+    at = grid[k:k + 1]
+    lower_s = c_i1 * basis_i.psi_prime(at)[0]
+    upper_s = rh_prime[k] + d_i2 * basis_i.phi_prime(at)[0]
+    v_idle = np.where(grid < x_star, lower, upper)
 
     diags = Diagnostics(
-        pasting_gap_value=gap_value,
-        pasting_gap_slope=gap_slope,
-        growth_margin=growth_margin,
+        pasting_gap_value=_relative_gap(lower[k], upper[k]),
+        pasting_gap_slope=_relative_gap(lower_s, upper_s),
+        growth_margin=float(np.min((rh - v_idle) / np.maximum(rh, 1e-300))),
         root_residual=abs(root_residual))
     return Solution(
         mode=Mode.THRESHOLD, x_star=x_star,
@@ -343,11 +349,7 @@ def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solutio
     m_prime = partial(speed_density, spec)
 
     def value_idle_fn(x):
-        scalar = np.ndim(x) == 0
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x_arr <= 0.0):
-            raise ValueError("state values must be positive")
-        return 0.0 if scalar else np.zeros_like(x_arr)
+        return _piecewise(x, math.inf, np.zeros_like, np.zeros_like)
 
     def active_fn(grid):
         vals, _ = resolvent_on_grid(basis_a, m_prime, params.h, grid)
@@ -356,12 +358,12 @@ def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solutio
     def value_active_fn(x):
         return _piecewise(x, math.inf, active_fn, active_fn)
 
-    def branch_nan(x):
-        scalar = np.ndim(x) == 0
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return math.nan if scalar else np.full_like(x_arr, math.nan)
-
     nan = float("nan")
+    nan_fn = partial(np.full_like, fill_value=nan)
+
+    def branch_nan(x):
+        return _piecewise(x, math.inf, nan_fn, nan_fn)
+
     diags = Diagnostics(nan, nan, nan, nan)
     return Solution(
         mode=Mode.NEVER_ENTER, x_star=None,

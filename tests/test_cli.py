@@ -232,6 +232,16 @@ class TestSolveCommand:
         assert code == 3
         assert "integrand is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("economics.r = 0.1", "economics.r = nan"),
+        ("economics.K = 1", "economics.K = inf"),
+        ("model.beta = 0.25", "model.beta = nan"),
+        ("payoff.theta = 0.5", "payoff.theta = nan")])
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys, old, new):
+        code = main(["solve", "--config", write(tmp_path, FLAT.replace(old, new))])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_p_list_is_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--config", write(tmp_path, FLAT),
                      "--p-list", "a,b"])

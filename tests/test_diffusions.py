@@ -75,6 +75,14 @@ class TestSpecs:
         with pytest.raises(ValueError, match="positive"):
             custom_diffusion(lambda x: 0.05 * x, lambda x: 0.0 * x)
 
+    @pytest.mark.parametrize("factory, args", [
+        (gbm, (math.nan, 0.25)), (gbm, (0.05, math.nan)), (gbm, (0.05, math.inf)),
+        (logistic, (math.inf, 0.25, 0.2)), (logistic, (0.05, 0.25, math.nan)),
+        (logistic, (0.05, 0.25, math.inf))])
+    def test_rejects_non_finite_parameters(self, factory, args):
+        with pytest.raises(ValueError):
+            factory(*args)
+
     def test_densities_gbm(self):
         spec = gbm(ALPHA, BETA)
         assert float(speed_density(spec, 1.0)) == pytest.approx(32.0, rel=1e-14)
@@ -137,8 +145,9 @@ class TestGbmBasis:
         assert harmonicity_residual(spec, basis, np.geomspace(0.5, 8.0, 21)) < 1e-6
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            excessive_basis(gbm(ALPHA, BETA), 0.0)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                excessive_basis(gbm(ALPHA, BETA), rho)
 
 
 class TestLogisticBasis:

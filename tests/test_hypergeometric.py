@@ -242,8 +242,10 @@ class TestTricomiU:
             assert rel_err(got, want) < 1e-12, (a, b, z)
 
     def test_scalar_matches_vector_bitwise(self):
-        # the arrays cross every edge between the Laguerre sum and the split
-        zs = np.array([1e-4, 0.3, 0.7499, 0.75, 0.7501, 2.0, 30.0])
+        # the arrays cross every edge between the Laguerre sum and the
+        # split, and span more than two blocks of the Laguerre sum
+        zs = np.concatenate(([1e-4, 0.3, 0.7499, 0.75, 0.7501, 2.0, 30.0],
+                             np.geomspace(31.0, 300.0, 140)))
         for a in (2.5, 2.999, 3.0, 3.5):
             for b in (0.4, 4.0, 12.88):
                 vec = _u_vec(a, b, zs)

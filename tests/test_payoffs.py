@@ -22,6 +22,15 @@ class TestFactories:
         with pytest.raises(ValueError):
             power(-1.0)
 
+    @pytest.mark.parametrize("factory, args", [
+        (power, (math.nan,)), (power, (math.inf,)),
+        (affine, (math.nan,)), (affine, (math.inf,)),
+        (saturating, (math.nan, 1.0)), (saturating, (2.0, math.nan)),
+        (saturating, (math.inf, 1.0))])
+    def test_rejects_non_finite_parameters(self, factory, args):
+        with pytest.raises(ValueError):
+            factory(*args)
+
     def test_affine(self):
         h = affine(2.5)
         np.testing.assert_allclose(h(np.array([0.4, 2.0])), [1.0, 5.0], rtol=0.0)

@@ -146,12 +146,21 @@ class TestStructure:
             resolvent_on_grid(basis11, m_prime, SQRT, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             resolvent_on_grid(basis11, m_prime, SQRT, np.array([-1.0, 2.0]))
+        with pytest.raises(ValueError):
+            resolvent_on_grid(basis11, m_prime, SQRT, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            resolvent_on_grid(basis11, m_prime, SQRT, np.array([1.0, np.inf]))
 
     def test_scalar_validation(self, basis11):
         with pytest.raises(ValueError):
             resolvent(basis11, m_prime, SQRT, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             resolvent(basis11, m_prime, SQRT, -1.0)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                resolvent(basis11, m_prime, SQRT, x)
+            with pytest.raises(ValueError):
+                resolvent_prime(basis11, m_prime, SQRT, x)
 
 
 class TestIdentities:

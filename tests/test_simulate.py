@@ -240,9 +240,15 @@ class TestValidation:
             SimConfig(n_paths=10, discount_floor=1.5)
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, seed=-1)
+        for field in ("dt", "horizon_T", "discount_floor"):
+            with pytest.raises(ValueError):
+                SimConfig(n_paths=10, **{field: math.nan})
+        assert SimConfig(n_paths=10, horizon_T=math.inf).horizon_T == math.inf
 
     def test_run_rejects_bad_states(self):
         with pytest.raises(ValueError):
             simulate_idle_value(SPEC, PARAMS, X_STAR, -2.0, cfg(n=10))
         with pytest.raises(ValueError):
             simulate_idle_value(SPEC, PARAMS, 0.0, 2.0, cfg(n=10))
+        with pytest.raises(ValueError):
+            simulate_idle_value(SPEC, PARAMS, X_STAR, math.nan, cfg(n=10))

@@ -9,6 +9,7 @@ import math
 from dataclasses import replace
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from entrysolve import (
     custom_payoff,
     excessive_basis,
     gbm,
+    logistic,
     p_independence_audit,
     power,
     resolvent,
@@ -32,6 +34,7 @@ from entrysolve import (
     solve_threshold,
     speed_density,
 )
+from entrysolve import _quad
 from entrysolve.solver import _assemble, _break_even_state, _threshold_objective
 from entrysolve.diffusions import ExcessiveBasis
 
@@ -60,6 +63,15 @@ B_IDLE, W_IDLE = 4.092038251199550, 8.784076502399100
 @pytest.fixture(scope="module")
 def sol():
     return solve(SPEC, PARAMS)
+
+
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("r", math.nan), ("r", math.inf), ("lam", math.nan), ("K", math.nan),
+        ("K", math.inf), ("C", math.nan), ("C", math.inf), ("p", math.nan)])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            replace(PARAMS, **{field: value})
 
 
 class TestViability:
@@ -159,6 +171,31 @@ class TestCoefficients:
         c_i1, d_i2, c_a1 = coefficients(SPEC, PARAMS, sol.x_star)
         assert (c_i1, d_i2, c_a1) == (sol.c_i1, sol.d_i2, sol.c_a1)
 
+    @pytest.mark.parametrize("h, theta, slope", [
+        (power(0.5), mp.mpf("0.5"), mp.mpf(1)), (affine(0.6), mp.mpf(1), mp.mpf("0.6"))])
+    def test_c_a1_closed_form_at_p_one(self, h, theta, slope):
+        # with psi_a = x^b, phi_a = x^a, W_a = b - a and
+        # m' = (2 / beta^2) x^(c-2), c_a1 = -W_a^-1 int_x*^inf phi_a (h - kappa) m'
+        # integrates in closed form; x* is the closed-form root of F
+        with mp.workdps(40):
+            beta, c, kappa = mp.mpf("0.25"), 2 * mp.mpf("0.05") / mp.mpf("0.25") ** 2, 2.1
+            disc = mp.sqrt((c - 1) ** 2 + 8 * mp.mpf("1.1") / beta ** 2)
+            b, a = (1 - c + disc) / 2, (1 - c - disc) / 2
+            x_star = (kappa * (theta - a) / (slope * -a)) ** (1 / theta)
+            s0 = a + c - 1
+            s1 = s0 + theta
+            want = -(2 / beta ** 2) / (b - a) * (kappa * x_star ** s0 / s0
+                                                 - slope * x_star ** s1 / s1)
+        got = solve(SPEC, replace(PARAMS, p=1.0, h=h)).c_a1
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+
+    @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2)])
+    def test_threshold_and_c_a1_do_not_depend_on_p(self, spec):
+        # both involve only the active rate r + lambda
+        sols = [solve(spec, replace(PARAMS, p=p)) for p in (0.0, 0.3, 1.0)]
+        assert len({s.x_star for s in sols}) == 1
+        assert len({s.c_a1 for s in sols}) == 1
+
 
 class TestIdleValue:
     def test_frozen_spots(self, sol):
@@ -195,6 +232,10 @@ class TestIdleValue:
             sol.value_idle(0.0)
         with pytest.raises(ValueError):
             sol.value_idle(np.array([1.0, -3.0]))
+        with pytest.raises(ValueError):
+            sol.value_idle(math.nan)
+        with pytest.raises(ValueError):
+            sol.value_active(np.array([1.0, math.inf]))
 
     def test_smooth_pasting_by_finite_differences(self, sol):
         eps = sol.x_star * 1e-6
@@ -263,6 +304,23 @@ class TestDiagnostics:
         assert d.root_residual < 1e-8
         assert d.growth_margin > 0.0
 
+    def test_assemble_walks_each_boundary_integral_once(self, sol, monkeypatch):
+        # three coefficient projections, then one idle-rate sweep
+        # (one walk per end) for every diagnostic
+        walks = []
+        walk = _quad._walk
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(_quad, "_walk", counted)
+        basis_i = excessive_basis(SPEC, PARAMS.rho_idle)
+        basis_a = excessive_basis(SPEC, PARAMS.rho_active)
+        _assemble(SPEC, PARAMS, sol.x_star, basis_i, basis_a,
+                  sol.diagnostics.root_residual)
+        assert len(walks) == 5
+
 
 @pytest.fixture(scope="module")
 def ne():
@@ -279,6 +337,8 @@ class TestNeverEnterSolution:
     def test_idle_value_identically_zero(self, ne):
         assert float(ne.value_idle(3.0)) == 0.0
         np.testing.assert_array_equal(ne.value_idle(np.array([0.5, 7.0])), [0.0, 0.0])
+        with pytest.raises(ValueError):
+            ne.value_idle(math.nan)
 
     def test_active_value_is_single_shot(self, ne):
         basis_a = excessive_basis(SPEC, PARAMS.rho_active)
