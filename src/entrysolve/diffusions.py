@@ -15,8 +15,10 @@ Three kinds are supported:
     numerically from a Riccati equation for (ln u)' on the log axis,
     each in one stiff LSODA shot with the analytic Jacobian across
     |ln x| <= 30, from the end where it vanishes. The exponent B of the
-    scale and speed densities is the panel quadrature of 2 drift / vol^2
-    from x = 1 (_quad.fixed_panels), summed outward state by state.
+    scale and speed densities is tabulated once per model
+    (_ScaleExponent): Chebyshev fits of 2 x drift / vol^2 on half-unit
+    panels of ln x, grown outward from x = 1 as far as the states asked
+    for reach, so later calls evaluate B without drift or vol.
 """
 from __future__ import annotations
 
@@ -29,8 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._quad import fixed_panels
-from .errors import ConstructionError
+from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
 _SPAN = 30.0
@@ -126,13 +127,187 @@ def custom(drift: Callable, vol: Callable) -> DiffusionSpec:
 # scale and speed densities
 
 
-def _compensated_cumsum(t: np.ndarray) -> np.ndarray:
-    """np.cumsum with the rounding error of every step added back (a
-    vectorized two-sum), so long sums stay within about an ulp."""
+def _compensated_cumsum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.cumsum and the running sum of the rounding error of every step
+    (a vectorized two-sum): their sum is within about an ulp of the
+    exact partial sums however long they run."""
     s = np.cumsum(t)
     prev = np.concatenate(([0.0], s[:-1]))
     t_kept = s - prev
-    return s + np.cumsum((prev - (s - t_kept)) + (t - t_kept))
+    return s, np.cumsum((prev - (s - t_kept)) + (t - t_kept))
+
+
+# B for CUSTOM models: Chebyshev fits of q = 2 x drift / vol^2 on fixed
+# panels of v = ln x, with edges at multiples of _PANEL
+_PANEL = 0.5
+_CHEB_N = 32
+# the n + 1 Chebyshev-Lobatto nodes on [-1, 1], ascending; those of the
+# n / 2 fit are every second one
+_CHEB_T = -np.cos(np.pi * np.arange(_CHEB_N + 1) / _CHEB_N)
+# pieces per drift/vol call: 15 x 33 nodes stay within _quad's 16 x 32
+_CHEB_BLOCK = 15
+
+
+def _antiderivative_map(n: int) -> np.ndarray:
+    """Matrix taking values at the n + 1 Chebyshev-Lobatto nodes to the
+    Chebyshev coefficients of the antiderivative of their interpolant
+    that vanishes at t = -1."""
+    # by discrete orthogonality at these nodes, the inverse of the
+    # Chebyshev-Vandermonde matrix is its transpose, scaled
+    to_coefs = np.polynomial.chebyshev.chebvander(_CHEB_T[::_CHEB_N // n], n).T * (2.0 / n)
+    to_coefs[:, [0, -1]] *= 0.5
+    to_coefs[[0, -1]] *= 0.5
+    return np.polynomial.chebyshev.chebint(to_coefs, lbnd=-1.0, axis=0)
+
+
+@lru_cache(maxsize=1)
+def _cheb_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The antiderivative map of the n-node fit, its Clenshaw-Curtis
+    weights (the antiderivative at t = 1, all positive), and the map to
+    the gap between the n- and n/2-node antiderivatives at the nodes.
+    Built on first use, so that closed-form models never call BLAS."""
+    anti = _antiderivative_map(_CHEB_N)
+    gap = np.polynomial.chebyshev.chebvander(_CHEB_T, _CHEB_N + 1) @ anti
+    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_CHEB_T, _CHEB_N // 2 + 1)
+                    @ _antiderivative_map(_CHEB_N // 2))
+    return anti, anti.sum(axis=0), gap
+
+
+def _clenshaw(coefs: np.ndarray, piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum of coefs[k, piece] T_k(t), elementwise; coefs has one row per degree."""
+    t2 = 2.0 * t
+    b1 = b2 = np.zeros_like(t)
+    for c in coefs[:0:-1]:
+        b1, b2 = c[piece] + t2 * b1 - b2, b1
+    return coefs[0][piece] + t * b1 - b2
+
+
+@dataclass(frozen=True)
+class _BTable:
+    """Pieces of v = ln x covering the coarse panels k_lo <= k < k_hi,
+    ascending: left edges, widths, antiderivative series of q in
+    t in [-1, 1] (one row per degree), integrals, B at the left edges
+    as a compensated sum b_sum + b_carry, and each series' value at
+    t = -1."""
+
+    k_lo: int
+    k_hi: int
+    lefts: np.ndarray
+    widths: np.ndarray
+    coefs: np.ndarray
+    integrals: np.ndarray
+    b_sum: np.ndarray
+    b_carry: np.ndarray
+    f_left: np.ndarray
+
+
+class _ScaleExponent:
+    """B(x) = integral_1^x 2 drift / vol^2 of a CUSTOM model, tabulated.
+
+    The table grows outward from v = ln x = 0, panel by panel, only as
+    far as the states asked for reach. Each panel holds the antiderivative
+    of the 33-node Chebyshev interpolant of q = 2 x drift / vol^2 in v. A
+    panel whose 33- and 17-node antiderivatives differ at a node by more
+    than 1e-8 of its integral of |q| is fitted again as four quarter-width
+    pieces, which must agree within 1e-7, or QuadratureError is raised.
+    B at the piece edges is the compensated sum of the piece integrals,
+    outward from v = 0 on each side, so B(1) = 0.
+    """
+
+    def __init__(self, spec: DiffusionSpec):
+        self._spec = spec
+        empty = np.empty(0)
+        self._table = _BTable(0, 0, empty, empty, np.empty((_CHEB_N + 2, 0)),
+                              empty, empty, empty, empty)
+
+    def _q(self, v: np.ndarray) -> np.ndarray:
+        x = np.exp(v)
+        return 2.0 * x * self._spec.drift(x) / self._spec.vol(x) ** 2
+
+    def _fit(self, lefts: np.ndarray, width: float, tol: float):
+        """Series, integrals, fit gaps and the indices that fail tol, of
+        the pieces [left, left + width]."""
+        half = 0.5 * width
+        vals = np.empty((lefts.size, _CHEB_T.size))
+        with np.errstate(all="ignore"):
+            for lo in range(0, lefts.size, _CHEB_BLOCK):
+                v = lefts[lo:lo + _CHEB_BLOCK, None] + half * (_CHEB_T + 1.0)
+                vals[lo:lo + _CHEB_BLOCK] = self._q(v.ravel()).reshape(v.shape)
+            # both fits integrate the value at the middle node exactly (its
+            # antiderivative is t + 1 = T_0 + T_1), so the rounding of the
+            # weights scales with q's variation across the piece, not with q
+            anti, weights, gap_map = _cheb_maps()
+            mid = vals[:, _CHEB_N // 2, None]
+            dev = vals - mid
+            gap = np.max(np.abs(dev @ gap_map.T), axis=1)
+            mass = np.abs(vals) @ weights
+            bad = np.flatnonzero(~(gap <= tol * np.maximum(mass, 1e-300)))
+            coefs = dev @ anti.T
+            coefs[:, :2] += mid
+            integrals = dev @ weights + 2.0 * mid[:, 0]
+        return half * coefs, half * integrals, gap, bad
+
+    def _pieces(self, lefts: np.ndarray):
+        """Fitted pieces of the coarse panels at `lefts`, each unconverged
+        panel replaced by four quarter-width ones."""
+        coefs, integrals, _, redo = self._fit(lefts, _PANEL, 1e-8)
+        widths = np.full(lefts.size, _PANEL)
+        if redo.size:
+            quarter = _PANEL / 4.0
+            sub = (lefts[redo, None] + quarter * np.arange(4.0)).ravel()
+            sub_coefs, sub_integrals, gap, failed = self._fit(sub, quarter, 1e-7)
+            if failed.size:
+                j = failed[0]
+                raise QuadratureError(
+                    f"scale exponent: 2 drift / vol^2 has no accurate panel fit on "
+                    f"x in [{math.exp(sub[j]):.6g}, {math.exp(sub[j] + quarter):.6g}] "
+                    f"(refined disagreement {gap[j]:.3e})")
+            keep = np.ones(lefts.size, dtype=bool)
+            keep[redo] = False
+            order = np.argsort(np.concatenate((lefts[keep], sub)))
+            lefts, widths, coefs, integrals = (
+                np.concatenate(parts)[order] for parts in (
+                    (lefts[keep], sub), (widths[keep], np.full(sub.size, quarter)),
+                    (coefs[keep], sub_coefs), (integrals[keep], sub_integrals)))
+        return lefts, widths, coefs.T, integrals
+
+    def _grow(self, k_lo: int, k_hi: int) -> _BTable:
+        old = self._table
+        below = self._pieces(_PANEL * np.arange(k_lo, old.k_lo, dtype=float))
+        above = self._pieces(_PANEL * np.arange(old.k_hi, k_hi, dtype=float))
+        lefts, widths, coefs, integrals = (
+            np.concatenate((b, o, a), axis=-1) for b, o, a in zip(
+                below, (old.lefts, old.widths, old.coefs, old.integrals), above))
+        n_neg = int(np.searchsorted(lefts, 0.0))
+        up = _compensated_cumsum(integrals[n_neg:])
+        down = _compensated_cumsum(integrals[:n_neg][::-1])
+        b_sum, b_carry = (np.concatenate((-d[::-1], [0.0], u))[:lefts.size]
+                          for d, u in zip(down, up))
+        everywhere = np.arange(lefts.size)
+        f_left = _clenshaw(coefs, everywhere, np.full(lefts.size, -1.0))
+        table = _BTable(k_lo, k_hi, lefts, widths, coefs, integrals, b_sum, b_carry,
+                        f_left)
+        self._table = table
+        return table
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """B at finite log states v, a 1-d array."""
+        if v.size == 0:
+            return np.empty(0)
+        table = self._table
+        k_lo = math.floor(float(np.min(v)) / _PANEL)
+        k_hi = math.floor(float(np.max(v)) / _PANEL) + 1
+        if k_lo < table.k_lo or k_hi > table.k_hi:
+            table = self._grow(min(k_lo, table.k_lo), max(k_hi, table.k_hi))
+        piece = np.searchsorted(table.lefts, v, side="right") - 1
+        t = 2.0 * (v - table.lefts[piece]) / table.widths[piece] - 1.0
+        partial = _clenshaw(table.coefs, piece, t) - table.f_left[piece]
+        return table.b_sum[piece] + (table.b_carry[piece] + partial)
+
+
+@lru_cache(maxsize=_CUSTOM_CACHE_SIZE)
+def _scale_exponent(spec: DiffusionSpec) -> _ScaleExponent:
+    return _ScaleExponent(spec)
 
 
 def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:
@@ -145,37 +320,27 @@ def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:
         c = 2.0 * spec.alpha / spec.beta ** 2
         k = c * spec.gamma
         return c * np.log(x) - k * x
+    return _scale_exponent(spec)(np.log(x).ravel()).reshape(x.shape)
 
-    def q(t):
-        return 2.0 * spec.drift(t) / spec.vol(t) ** 2
 
-    flat = x.ravel()
-    order = np.argsort(flat)
-    xs = flat[order]
-    n_lo = int(np.searchsorted(xs, 1.0))
-    below, above = xs[:n_lo][::-1], xs[n_lo:]
-    # panel integrals between neighbouring states, summed outward from
-    # x = 1 on each side so that B(1) = 0 and no partial sums cancel
-    down = _compensated_cumsum(fixed_panels(q, below, np.append(1.0, below[:-1])))
-    up = _compensated_cumsum(fixed_panels(q, np.append(1.0, above[:-1]), above))
-    out = np.empty_like(flat)
-    out[order] = np.concatenate((-down[::-1], up))
-    return out.reshape(x.shape)
+def _check_states(x: np.ndarray) -> None:
+    ok = (x > 0.0) & (x < math.inf)
+    if not ok.all():
+        raise ValueError(
+            f"state values must be positive and finite, got {x[~ok].flat[0]}")
 
 
 def scale_density(spec: DiffusionSpec, x) -> np.ndarray:
     """Scale density S'(x) = exp(-B(x))."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("state values must be positive")
+    _check_states(x)
     return np.exp(-_b_of_x(spec, x))
 
 
 def speed_density(spec: DiffusionSpec, x) -> np.ndarray:
     """Speed density m'(x) = 2 exp(B(x)) / vol(x)^2."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("state values must be positive")
+    _check_states(x)
     return 2.0 * np.exp(_b_of_x(spec, x)) / spec.vol(x) ** 2
 
 
@@ -355,8 +520,7 @@ class _RiccatiCore:
 
     def eval(self, x: np.ndarray, which: str, deriv: bool) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValueError("state values must be positive")
+        _check_states(x)
         v = np.log(x)
         self._ensure(float(np.min(v)), float(np.max(v)))
         sol, w0 = self._branches[which]

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from entrysolve import (
     ConstructionError,
+    NumericsError,
     ProblemParams,
     custom_diffusion,
     excessive_basis,
@@ -116,6 +118,69 @@ class TestSpecs:
             scale_density(spec, 0.0)
         with pytest.raises(ValueError):
             speed_density(spec, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("spec", [
+        gbm(ALPHA, BETA), logistic(ALPHA, BETA, 0.2),
+        custom_diffusion(lambda x: ALPHA * x, lambda x: BETA * x),
+    ], ids=["gbm", "logistic", "custom"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_densities_reject_non_finite_states(self, spec, bad):
+        for density in (scale_density, speed_density):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                density(spec, np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="positive and finite"):
+                density(spec, bad)
+
+
+# non-polynomial 2 drift / vol^2 on v = ln x
+B_MODELS = {
+    "mean_reverting_sqrt_vol": (lambda x: 0.5 * (2.0 - x),
+                                lambda x: 0.3 * np.sqrt(x) + 0.01 * x),
+    "oscillating_drift": (lambda x: 0.1 * x * np.sin(np.log(x)),
+                          lambda x: 0.3 * x * (1.0 + 0.5 * np.tanh(np.log(x)))),
+}
+
+
+class TestScaleExponentTable:
+    """B of a CUSTOM model, tabulated on half-unit panels of ln x."""
+
+    @pytest.mark.parametrize("name", sorted(B_MODELS))
+    def test_matches_quad(self, name):
+        drift, vol = B_MODELS[name]
+        spec = custom_diffusion(drift, vol)
+
+        def q(v):
+            x = np.exp([v])
+            return float(2.0 * x[0] * drift(x)[0] / vol(x)[0] ** 2)
+
+        def integral(a, b):
+            return quad(q, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+        # B at the half-unit steps outward from 0 by quad, then on to each state
+        edge_b = {0: 0.0}
+        for k in range(1, 67):
+            edge_b[k] = edge_b[k - 1] + integral(0.5 * (k - 1), 0.5 * k)
+            edge_b[-k] = edge_b[1 - k] - integral(-0.5 * k, 0.5 * (1 - k))
+        sweep = np.linspace(0.3, 33.0, 23)
+        states = np.concatenate((0.5 * np.arange(-66, 67), sweep, -sweep, [0.0]))
+        v = np.log(np.exp(states))
+        want = np.array([edge_b[k] + integral(0.5 * k, u)
+                         for k, u in zip(np.trunc(2.0 * v).astype(int), v)])
+        got = _b_of_x(spec, np.exp(v))
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+        assert float(_b_of_x(spec, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_drift_in_span_raises(self, bad):
+        spec = custom_diffusion(
+            lambda x: np.where((x > 1e5) & (x < 1e8), bad, ALPHA * x),
+            lambda x: BETA * x)
+        with pytest.raises(NumericsError, match="scale exponent"):
+            speed_density(spec, np.geomspace(1e-3, 1e9, 50))
+        # states short of the bad span are unaffected
+        np.testing.assert_allclose(speed_density(spec, np.array([0.5, 2.0, 1e4])),
+                                   speed_density(gbm(ALPHA, BETA), np.array([0.5, 2.0, 1e4])),
+                                   rtol=1e-12)
 
 
 class TestGbmBasis:
@@ -230,8 +295,10 @@ class TestCustomBasis:
 
     def test_rejects_nonpositive_state(self, pair):
         got, _ = pair
-        with pytest.raises(ValueError):
-            got.psi(np.array([1.0, 0.0]))
+        for bad in (0.0, np.nan, np.inf):
+            for u in (got.psi, got.phi, got.psi_prime, got.phi_prime):
+                with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                    u(np.array([1.0, bad]))
 
 
 # the demo problem: rho_idle = 0.6, rho_active = 1.1

@@ -272,3 +272,23 @@ class TestIntegrandWidth:
         widths.clear()
         speed_density(spec, np.geomspace(1e-4, 1e4, 2000))
         assert widths and max(widths) <= self.LIMIT
+
+    def test_custom_speed_density_tabulated_once(self):
+        # the first call tabulates B over the states' panels; a second
+        # call inside them evaluates the table without the drift
+        widths = []
+
+        def drift(x):
+            widths.append(len(x))
+            return 0.4 * x * (math.log(6.0) - np.log(x))
+
+        spec = custom_diffusion(drift, lambda x: 0.35 * x)
+        widths.clear()
+        first = speed_density(spec, np.geomspace(1e-4, 1e4, 2000))
+        assert widths and max(widths) <= self.LIMIT
+        widths.clear()
+        inside = np.random.default_rng(3).uniform(1e-4, 1e4, 2000)
+        speed_density(spec, inside)
+        assert widths == []
+        np.testing.assert_array_equal(
+            speed_density(spec, np.geomspace(1e-4, 1e4, 2000)), first)
