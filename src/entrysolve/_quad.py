@@ -2,17 +2,19 @@
 
 Every integral in this package runs over (0, inf) against integrands that
 decay like powers or exponentials of the state. Working on v = ln(x) with
-composite fixed-order Gauss-Legendre panels equidistributes resolution
-across scales and keeps evaluation vectorized and deterministic.
+composite fixed-order panels equidistributes resolution across scales
+and keeps evaluation vectorized and deterministic.
 
-One panel routine does all the work: it sums 32-node (or 16-node)
-Gauss-Legendre panels and hands the integrand at most 16 panels per
-call, so the arrays the integrand builds stay small however many
-intervals are asked for.
+One panel rule does all the work, and the CUSTOM scale exponent table
+in diffusions uses it too: Clenshaw-Curtis on the 33 Chebyshev-Lobatto
+nodes of each panel, ends included, whose every second node carries the
+nested 17-node rule that estimates the error. One integrand call gives
+both sums for up to 15 panels, so the arrays the integrand builds stay
+small however many intervals are asked for.
 
 fixed_panels integrates finite intervals elementwise over arrays of
-endpoints, each on panels at most 0.5 wide. An interval whose 32- and
-16-node sums disagree beyond 1e-8 of its integral of |f| is redone once
+endpoints, each on panels at most 0.5 wide. An interval whose 33- and
+17-node sums disagree beyond 1e-8 of its integral of |f| is redone once
 on panels a quarter as wide; one that still disagrees, a non-finite one
 included, raises QuadratureError naming its endpoints.
 
@@ -37,21 +39,34 @@ from .errors import QuadratureError
 
 # x below this is treated as the lower boundary itself
 _X_FLOOR = 1e-280
-_NODES = 32
+# the _DEGREE + 1 Chebyshev-Lobatto nodes of [-1, 1], ascending; the
+# nested rule takes every second one
+_DEGREE = 32
+_NODES = -np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
 _PANEL_WIDTH = 0.5
 _WINDOW = 1.0
 _REL_TOL = 1e-12
 _MAX_WINDOWS = 240
-# panels per integrand call: bounds the width of every array f sees
-_BLOCK = 16
-
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# panels per integrand call: 15 x 33 nodes bound the width of every array f sees
+_BLOCK = 15
 
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _NODE_CACHE[n]
+def _antiderivative_map(n: int) -> np.ndarray:
+    """Matrix taking values at the n + 1 Chebyshev-Lobatto nodes (every
+    _DEGREE / n-th of _NODES) to the Chebyshev coefficients of the
+    antiderivative of their interpolant that vanishes at t = -1."""
+    # by discrete orthogonality at these nodes, the inverse of the
+    # Chebyshev-Vandermonde matrix is its transpose, scaled
+    to_coefs = np.polynomial.chebyshev.chebvander(_NODES[::_DEGREE // n], n).T * (2.0 / n)
+    to_coefs[:, [0, -1]] *= 0.5
+    to_coefs[[0, -1]] *= 0.5
+    return np.polynomial.chebyshev.chebint(to_coefs, lbnd=-1.0, axis=0)
+
+
+# Clenshaw-Curtis weights of both rules, all positive: each antiderivative
+# at t = 1, where every T_k is 1 (no BLAS or LAPACK at import)
+_WEIGHTS = _antiderivative_map(_DEGREE).sum(axis=0)
+_NESTED_WEIGHTS = _antiderivative_map(_DEGREE // 2).sum(axis=0)
 
 
 def _panels(va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
@@ -66,41 +81,40 @@ def _panels(va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
     return owner, va[owner] + (2 * k + 1) * half, half
 
 
-def _panel_sums(f: Callable, mid: np.ndarray, half: np.ndarray,
-                nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f(x) dx and of |f(x)| dx over each panel
-    [mid - half, mid + half] in v = ln x, by `nodes`-point Gauss-Legendre.
-    Each call of f sees at most _BLOCK panels."""
-    t, w = _gl_nodes(nodes)
-    sums = np.empty(mid.size)
-    abs_sums = np.empty(mid.size)
-    for lo in range(0, mid.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        v = (mid[block, None] + half[block, None] * t).ravel()
-        x = np.exp(v)
+def _panel_sums(f: Callable, mid: np.ndarray, half: np.ndarray) -> tuple:
+    """Integrals of f(x) dx over each panel [mid - half, mid + half] in
+    v = ln x by the 33- and the nested 17-node rule, and of |f(x)| dx by
+    the 33-node rule. Each call of f sees at most _BLOCK panels."""
+    hi = np.empty(mid.size)
+    lo = np.empty(mid.size)
+    mass = np.empty(mid.size)
+    for start in range(0, mid.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        x = np.exp((mid[block, None] + half[block, None] * _NODES).ravel())
         vals = np.asarray(f(x), dtype=float) * x  # jacobian dx = x dv
-        terms = vals.reshape(-1, nodes) * (half[block, None] * w)
-        sums[block] = terms.sum(axis=1)
-        abs_sums[block] = np.abs(terms).sum(axis=1)
-    return sums, abs_sums
+        vals = vals.reshape(-1, _NODES.size) * half[block, None]
+        hi[block] = (vals * _WEIGHTS).sum(axis=1)
+        lo[block] = (vals[:, ::2] * _NESTED_WEIGHTS).sum(axis=1)
+        mass[block] = (np.abs(vals) * _WEIGHTS).sum(axis=1)
+    return hi, lo, mass
 
 
-def _log_panels(f: Callable, va: np.ndarray, vb: np.ndarray, width: float,
-                nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f(x) dx and of |f(x)| dx over x in [e^va_i, e^vb_i],
+def _log_panels(f: Callable, va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
+    """_panel_sums' three integrals over x in [e^va_i, e^vb_i],
     elementwise, on panels at most `width` wide in v."""
     owner, mid, half = _panels(va, vb, width)
-    sums, abs_sums = _panel_sums(f, mid, half, nodes)
-    return (np.bincount(owner, sums, minlength=va.size),
-            np.bincount(owner, abs_sums, minlength=va.size))
+    return tuple(np.bincount(owner, sums, minlength=va.size)
+                 for sums in _panel_sums(f, mid, half))
 
 
-# the walker's panels, on its window scaled to [0, 1]
+# the walker's panel nodes and weights, on its window scaled to [0, 1]
 _, _WINDOW_MID, _WINDOW_HALF = _panels(np.zeros(1), np.ones(1), _PANEL_WIDTH / _WINDOW)
+_WINDOW_NODES = (_WINDOW_MID[:, None] + _WINDOW_HALF[:, None] * _NODES).ravel()
+_WINDOW_WEIGHTS = (_WINDOW_HALF[:, None] * _WEIGHTS).ravel()
 
 
 def _unconverged(hi: np.ndarray, lo: np.ndarray, mass: np.ndarray, tol: float) -> np.ndarray:
-    """Indices where the two orders disagree beyond tol of the mass; a
+    """Indices where the two rules disagree beyond tol of the mass; a
     non-finite sum never passes."""
     with np.errstate(invalid="ignore"):
         return np.flatnonzero(~(np.abs(hi - lo) <= tol * np.maximum(mass, 1e-300)))
@@ -110,10 +124,13 @@ def fixed_panels(f: Callable, a, b):
     """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
     over arrays of endpoints; scalar endpoints give a float.
 
-    For each interval a nested lower-order pass estimates the error;
-    disagreement beyond 1e-8 of the integral of |f| triggers one
-    refinement, and persistent disagreement (a non-finite integral
-    included) raises QuadratureError naming the interval.
+    Each interval is cut into panels at most 0.5 wide in ln x, each
+    integrated by 33-node Clenshaw-Curtis with the panel ends as nodes,
+    so f is evaluated at a and b (as exp(ln a), exp(ln b)). The nested
+    17-node rule estimates the error; disagreement beyond 1e-8 of the
+    integral of |f| triggers one refinement, and persistent disagreement
+    (a non-finite integral included) raises QuadratureError naming the
+    interval.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -122,12 +139,10 @@ def fixed_panels(f: Callable, a, b):
         j = np.argmax(bad)
         raise ValueError(f"need 0 < a <= b < inf, got [{a.flat[j]}, {b.flat[j]}]")
     va, vb = np.log(a.ravel()), np.log(b.ravel())
-    hi, mass = _log_panels(f, va, vb, _PANEL_WIDTH, _NODES)
-    lo, _ = _log_panels(f, va, vb, _PANEL_WIDTH, _NODES // 2)
+    hi, lo, mass = _log_panels(f, va, vb, _PANEL_WIDTH)
     redo = _unconverged(hi, lo, mass, 1e-8)
     if redo.size:
-        hi2, mass2 = _log_panels(f, va[redo], vb[redo], _PANEL_WIDTH / 4.0, _NODES)
-        lo2, _ = _log_panels(f, va[redo], vb[redo], _PANEL_WIDTH / 4.0, _NODES // 2)
+        hi2, lo2, mass2 = _log_panels(f, va[redo], vb[redo], _PANEL_WIDTH / 4.0)
         failed = _unconverged(hi2, lo2, mass2, 1e-7)
         if failed.size:
             j = failed[0]
@@ -168,8 +183,8 @@ def _walk(f: Callable, start: float, limit: float | None, up: bool) -> float:
             far = min(far, limit) if up else max(far, limit)
         a, b = (near, far) if up else (far, near)
         va, vb = math.log(a), math.log(b)
-        sums, _ = _panel_sums(f, va + (vb - va) * _WINDOW_MID, (vb - va) * _WINDOW_HALF, _NODES)
-        wk = float(sums.sum())
+        x = np.exp(va + (vb - va) * _WINDOW_NODES)
+        wk = float((np.asarray(f(x), dtype=float) * x * _WINDOW_WEIGHTS).sum()) * (vb - va)
         if not math.isfinite(wk):
             raise QuadratureError(f"integrand is not finite on [{a:.3g}, {b:.3g}]")
         total += wk

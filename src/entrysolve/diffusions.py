@@ -16,9 +16,10 @@ Three kinds are supported:
     each in one stiff LSODA shot with the analytic Jacobian across
     |ln x| <= 30, from the end where it vanishes. The exponent B of the
     scale and speed densities is tabulated once per model
-    (_ScaleExponent): Chebyshev fits of 2 x drift / vol^2 on half-unit
-    panels of ln x, grown outward from x = 1 as far as the states asked
-    for reach, so later calls evaluate B without drift or vol.
+    (_ScaleExponent): Chebyshev fits of 2 x drift / vol^2 on the nodes,
+    weights and half-unit panels of ln x of _quad's Clenshaw-Curtis rule,
+    grown outward from x = 1 as far as the states asked for reach, so
+    later calls evaluate B without drift or vol.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._quad import (_BLOCK, _DEGREE, _NODES, _PANEL_WIDTH, _WEIGHTS,
+                    _antiderivative_map)
 from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
@@ -137,40 +140,16 @@ def _compensated_cumsum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.cumsum((prev - (s - t_kept)) + (t - t_kept))
 
 
-# B for CUSTOM models: Chebyshev fits of q = 2 x drift / vol^2 on fixed
-# panels of v = ln x, with edges at multiples of _PANEL
-_PANEL = 0.5
-_CHEB_N = 32
-# the n + 1 Chebyshev-Lobatto nodes on [-1, 1], ascending; those of the
-# n / 2 fit are every second one
-_CHEB_T = -np.cos(np.pi * np.arange(_CHEB_N + 1) / _CHEB_N)
-# pieces per drift/vol call: 15 x 33 nodes stay within _quad's 16 x 32
-_CHEB_BLOCK = 15
-
-
-def _antiderivative_map(n: int) -> np.ndarray:
-    """Matrix taking values at the n + 1 Chebyshev-Lobatto nodes to the
-    Chebyshev coefficients of the antiderivative of their interpolant
-    that vanishes at t = -1."""
-    # by discrete orthogonality at these nodes, the inverse of the
-    # Chebyshev-Vandermonde matrix is its transpose, scaled
-    to_coefs = np.polynomial.chebyshev.chebvander(_CHEB_T[::_CHEB_N // n], n).T * (2.0 / n)
-    to_coefs[:, [0, -1]] *= 0.5
-    to_coefs[[0, -1]] *= 0.5
-    return np.polynomial.chebyshev.chebint(to_coefs, lbnd=-1.0, axis=0)
-
-
 @lru_cache(maxsize=1)
-def _cheb_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The antiderivative map of the n-node fit, its Clenshaw-Curtis
-    weights (the antiderivative at t = 1, all positive), and the map to
-    the gap between the n- and n/2-node antiderivatives at the nodes.
+def _cheb_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The antiderivative map of _quad's panel rule, and the map to the
+    gap between its antiderivative and the nested rule's at the nodes.
     Built on first use, so that closed-form models never call BLAS."""
-    anti = _antiderivative_map(_CHEB_N)
-    gap = np.polynomial.chebyshev.chebvander(_CHEB_T, _CHEB_N + 1) @ anti
-    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_CHEB_T, _CHEB_N // 2 + 1)
-                    @ _antiderivative_map(_CHEB_N // 2))
-    return anti, anti.sum(axis=0), gap
+    anti = _antiderivative_map(_DEGREE)
+    gap = np.polynomial.chebyshev.chebvander(_NODES, _DEGREE + 1) @ anti
+    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_NODES, _DEGREE // 2 + 1)
+                    @ _antiderivative_map(_DEGREE // 2))
+    return anti, gap
 
 
 def _clenshaw(coefs: np.ndarray, piece: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -206,7 +185,8 @@ class _ScaleExponent:
 
     The table grows outward from v = ln x = 0, panel by panel, only as
     far as the states asked for reach. Each panel holds the antiderivative
-    of the 33-node Chebyshev interpolant of q = 2 x drift / vol^2 in v. A
+    of the Chebyshev interpolant of q = 2 x drift / vol^2 in v at the 33
+    nodes of _quad's panel rule, computed as 2 (x / vol)(drift / vol). A
     panel whose 33- and 17-node antiderivatives differ at a node by more
     than 1e-8 of its integral of |q| is fitted again as four quarter-width
     pieces, which must agree within 1e-7, or QuadratureError is raised.
@@ -217,43 +197,45 @@ class _ScaleExponent:
     def __init__(self, spec: DiffusionSpec):
         self._spec = spec
         empty = np.empty(0)
-        self._table = _BTable(0, 0, empty, empty, np.empty((_CHEB_N + 2, 0)),
+        self._table = _BTable(0, 0, empty, empty, np.empty((_DEGREE + 2, 0)),
                               empty, empty, empty, empty)
 
     def _q(self, v: np.ndarray) -> np.ndarray:
         x = np.exp(v)
-        return 2.0 * x * self._spec.drift(x) / self._spec.vol(x) ** 2
+        vol = self._spec.vol(x)
+        # vol ** 2 would overflow for a proportional vol beyond x ~ 1e154
+        return 2.0 * (x / vol) * (self._spec.drift(x) / vol)
 
     def _fit(self, lefts: np.ndarray, width: float, tol: float):
         """Series, integrals, fit gaps and the indices that fail tol, of
         the pieces [left, left + width]."""
         half = 0.5 * width
-        vals = np.empty((lefts.size, _CHEB_T.size))
+        vals = np.empty((lefts.size, _NODES.size))
         with np.errstate(all="ignore"):
-            for lo in range(0, lefts.size, _CHEB_BLOCK):
-                v = lefts[lo:lo + _CHEB_BLOCK, None] + half * (_CHEB_T + 1.0)
-                vals[lo:lo + _CHEB_BLOCK] = self._q(v.ravel()).reshape(v.shape)
+            for lo in range(0, lefts.size, _BLOCK):
+                v = lefts[lo:lo + _BLOCK, None] + half * (_NODES + 1.0)
+                vals[lo:lo + _BLOCK] = self._q(v.ravel()).reshape(v.shape)
             # both fits integrate the value at the middle node exactly (its
             # antiderivative is t + 1 = T_0 + T_1), so the rounding of the
             # weights scales with q's variation across the piece, not with q
-            anti, weights, gap_map = _cheb_maps()
-            mid = vals[:, _CHEB_N // 2, None]
+            anti, gap_map = _cheb_maps()
+            mid = vals[:, _DEGREE // 2, None]
             dev = vals - mid
             gap = np.max(np.abs(dev @ gap_map.T), axis=1)
-            mass = np.abs(vals) @ weights
+            mass = np.abs(vals) @ _WEIGHTS
             bad = np.flatnonzero(~(gap <= tol * np.maximum(mass, 1e-300)))
             coefs = dev @ anti.T
             coefs[:, :2] += mid
-            integrals = dev @ weights + 2.0 * mid[:, 0]
+            integrals = dev @ _WEIGHTS + 2.0 * mid[:, 0]
         return half * coefs, half * integrals, gap, bad
 
     def _pieces(self, lefts: np.ndarray):
         """Fitted pieces of the coarse panels at `lefts`, each unconverged
         panel replaced by four quarter-width ones."""
-        coefs, integrals, _, redo = self._fit(lefts, _PANEL, 1e-8)
-        widths = np.full(lefts.size, _PANEL)
+        coefs, integrals, _, redo = self._fit(lefts, _PANEL_WIDTH, 1e-8)
+        widths = np.full(lefts.size, _PANEL_WIDTH)
         if redo.size:
-            quarter = _PANEL / 4.0
+            quarter = _PANEL_WIDTH / 4.0
             sub = (lefts[redo, None] + quarter * np.arange(4.0)).ravel()
             sub_coefs, sub_integrals, gap, failed = self._fit(sub, quarter, 1e-7)
             if failed.size:
@@ -273,8 +255,8 @@ class _ScaleExponent:
 
     def _grow(self, k_lo: int, k_hi: int) -> _BTable:
         old = self._table
-        below = self._pieces(_PANEL * np.arange(k_lo, old.k_lo, dtype=float))
-        above = self._pieces(_PANEL * np.arange(old.k_hi, k_hi, dtype=float))
+        below = self._pieces(_PANEL_WIDTH * np.arange(k_lo, old.k_lo, dtype=float))
+        above = self._pieces(_PANEL_WIDTH * np.arange(old.k_hi, k_hi, dtype=float))
         lefts, widths, coefs, integrals = (
             np.concatenate((b, o, a), axis=-1) for b, o, a in zip(
                 below, (old.lefts, old.widths, old.coefs, old.integrals), above))
@@ -295,8 +277,8 @@ class _ScaleExponent:
         if v.size == 0:
             return np.empty(0)
         table = self._table
-        k_lo = math.floor(float(np.min(v)) / _PANEL)
-        k_hi = math.floor(float(np.max(v)) / _PANEL) + 1
+        k_lo = math.floor(float(np.min(v)) / _PANEL_WIDTH)
+        k_hi = math.floor(float(np.max(v)) / _PANEL_WIDTH) + 1
         if k_lo < table.k_lo or k_hi > table.k_hi:
             table = self._grow(min(k_lo, table.k_lo), max(k_hi, table.k_hi))
         piece = np.searchsorted(table.lefts, v, side="right") - 1

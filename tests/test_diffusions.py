@@ -19,11 +19,12 @@ from entrysolve import (
     logistic,
     power,
     scale_density,
+    solve,
     solve_threshold,
     speed_density,
     wronskian_check,
 )
-from entrysolve.diffusions import _CUSTOM_CACHE_SIZE, _b_of_x, _custom_basis
+from entrysolve.diffusions import _CUSTOM_CACHE_SIZE, _RiccatiCore, _b_of_x, _custom_basis
 
 ALPHA, BETA = 0.05, 0.25
 C_EXP = 2.0 * ALPHA / BETA ** 2  # exponent in the scale density, 1.6
@@ -169,6 +170,15 @@ class TestScaleExponentTable:
         got = _b_of_x(spec, np.exp(v))
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-12
         assert float(_b_of_x(spec, 1.0)) == 0.0
+
+    def test_proportional_vol_at_extreme_states(self):
+        # q = 2 x drift / vol^2 is formed without vol^2, which overflows
+        # beyond x ~ 1e154 for a proportional volatility
+        spec = custom_diffusion(lambda x: ALPHA * x, lambda x: BETA * x)
+        x = np.array([1e-300, 1e160, 1e300])
+        np.testing.assert_allclose(_b_of_x(spec, x), C_EXP * np.log(x), rtol=1e-12)
+        assert float(scale_density(spec, 1e160)) == pytest.approx(
+            float(scale_density(gbm(ALPHA, BETA), 1e160)), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_drift_in_span_raises(self, bad):
@@ -333,6 +343,23 @@ class TestStiffShot:
         for rho in (DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active):
             excessive_basis(spec, rho)
         assert calls < 50_000
+
+    def test_solve_and_curve_shoot_each_basis_once(self, monkeypatch):
+        # the panel rule evaluates the integrand at the truncation limits
+        # x_lo and x_hi, which must not read as states outside the span
+        shots = []
+        shoot = _RiccatiCore._shoot
+
+        def counted(core, v_lo, v_hi):
+            shots.append(core._rho)
+            return shoot(core, v_lo, v_hi)
+
+        monkeypatch.setattr(_RiccatiCore, "_shoot", counted)
+        spec = custom_diffusion(lambda x: 0.4 * x * (math.log(6.0) - np.log(x)),
+                                lambda x: 0.35 * x)
+        solution = solve(spec, DEMO_PARAMS)
+        solution.value_idle(np.linspace(solution.x_star / 50.0, 2.0 * solution.x_star, 201))
+        assert sorted(shots) == [DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active]
 
     def test_non_finite_shot_raises(self):
         # finite on the spec's probe grid, NaN in the middle of the upper span

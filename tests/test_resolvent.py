@@ -244,9 +244,51 @@ class TestIntegrability:
         assert got == pytest.approx(want, rel=1e-10)
 
 
+class TestPanelRule:
+    """The 33-node Clenshaw-Curtis panel rule with its nested 17-node
+    error estimate, from one integrand call per block of panels."""
+
+    def test_one_call_per_panel(self):
+        widths = []
+
+        def f(x):
+            widths.append(len(x))
+            return 1.0 / x
+
+        assert fixed_panels(f, 2.0, 3.0) == pytest.approx(math.log(1.5), rel=1e-14)
+        assert widths == [33]
+
+    @pytest.mark.parametrize("s", [-3.2, -0.5, 0.7, 2.9])
+    def test_powers(self, s):
+        # log-widths on 1, 2, 5 and 6 panels; the reference is
+        # (b^s - a^s) / s written without cancellation on the same log-width
+        a = 0.5
+        width = np.array([0.01, 0.1, 0.45, 0.7, 1.0, 2.2, 3.0])
+        b = a * np.exp(width)
+        got = fixed_panels(lambda x: x ** (s - 1.0), np.full(b.size, a), b)
+        want = a ** s * np.expm1(s * (np.log(b) - np.log(a))) / s
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_walk_stops_at_the_truncation_limit(self):
+        # the window nodes reach the limit itself and no further
+        for lo in np.geomspace(0.1, 100.0, 7):
+            logs = []
+
+            def f(x):
+                logs.append(np.log(x))
+                return x ** -1.5
+
+            integrate_to_inf(f, lo, limit=math.exp(30.0))
+            assert max(v.max() for v in logs) == 30.0
+            logs.clear()
+            integrate_to_zero(lambda x: f(x) * x, lo, limit=math.exp(-30.0))
+            assert min(v.min() for v in logs) == -30.0
+
+
 class TestIntegrandWidth:
-    """Panels reach the integrand in blocks of at most 16 panels of 32
-    nodes, however many intervals a call covers."""
+    """Panels reach the integrand in blocks of at most 15 panels of 33
+    nodes, 495 points, under LIMIT, however many intervals a call
+    covers."""
 
     LIMIT = 16 * 32
 
