@@ -12,7 +12,8 @@ Evaluation strategy:
         U(a,b,z) = z^(1-b) / gamma(a) integral_0^inf e^(-s) s^(a-1) (z+s)^(b-a-1) ds,
     by fixed-node rules, each applied to a whole array of z at once.
     One 128-node generalized Gauss-Laguerre rule with weight
-    s^(a-1) e^(-s) is used where it is accurate: z >= 0.75 for
+    s^(a-1) e^(-s) / gamma(a), built by Golub-Welsch and good down to
+    a = 1e-6, is used where the sum is accurate: z >= 0.75 for
     b >= a + 1, any z for a >= 3 and b >= a + 4, and z >= 5 for b < a + 1
     (_laguerre_floor). Below that the integral is split in three pieces:
       - [0, z], as s = z t: 20-node Gauss-Jacobi with weight t^(a-1),
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused; perfbench/tracing.py patches this name
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import hyp1f1, roots_genlaguerre, roots_laguerre
+from scipy.special import hyp1f1, roots_laguerre
 
 from .errors import AccuracyError
 
@@ -85,9 +86,30 @@ def kummer_m(args: HypergeometricArgs) -> float:
 
 
 @lru_cache(maxsize=64)
-def _genlaguerre_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    s, w = roots_genlaguerre(n, alpha)
-    return s, w
+def _genlaguerre_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_NODES-point Gauss rule for the
+    weight s^(a-1) e^(-s) / gamma(a) on (0, inf).
+
+    The nodes are the eigenvalues of the Laguerre Jacobi matrix
+    (Golub-Welsch), diagonal 2k + a and off-diagonal sqrt(k (k - 1 + a)),
+    whose first entry sqrt(a) stays exact as a -> 0: scipy's
+    roots_genlaguerre takes alpha = a - 1, whose rounding puts U off by
+    2.9e-11 at a = 1e-6. Each weight is 1 / sum_j p_j(s)^2 over the
+    orthonormal polynomials p_0 .. p_{n-1}, by their three-term
+    recurrence; the squared first eigenvector components would lose
+    relative accuracy on the far nodes (3e-12 in U at a = 0.05,
+    b = 12.93, z = 0.75).
+    """
+    k = np.arange(_GL_NODES)
+    diag = 2.0 * k + a
+    off = np.sqrt(k[1:] * (k[:-1] + a))
+    s = eigh_tridiagonal(diag, off, eigvals_only=True)
+    p = np.empty((_GL_NODES, _GL_NODES))
+    p[0] = 1.0
+    p[1] = (s - a) / off[0]
+    for j in range(1, _GL_NODES - 1):
+        p[j + 1] = ((s - diag[j]) * p[j] - off[j - 1] * p[j - 1]) / off[j]
+    return s, 1.0 / np.einsum("jk,jk->k", p, p)
 
 
 @lru_cache(maxsize=64)
@@ -145,14 +167,14 @@ def _laguerre_floor(a: float, b: float) -> float:
 
 def _u_laguerre(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """U over a 1-D array z by one generalized Gauss-Laguerre sum."""
-    s, w = _genlaguerre_rule(a - 1.0, _GL_NODES)
+    s, w = _genlaguerre_rule(a)
     vals = np.empty_like(z)
     for lo in range(0, z.size, _GL_BLOCK):
         terms = z[lo:lo + _GL_BLOCK, None] + s
         np.power(terms, b - a - 1.0, out=terms)
         terms *= w
         vals[lo:lo + _GL_BLOCK] = terms.sum(axis=1)
-    return np.exp((1.0 - b) * np.log(z) - math.lgamma(a)) * vals
+    return np.exp((1.0 - b) * np.log(z)) * vals
 
 
 def _u_split(a: float, b: float, z: np.ndarray) -> np.ndarray:

@@ -16,6 +16,16 @@ with (psi_i, phi_i) and (psi_a, phi_a) the eigenfunction pairs at the
 idle and active rates and W_i, W_a their wronskians. F does not involve
 p, so the threshold is the same for every success probability.
 
+The root find walks the tail once: F(x_C) is one tail walk down to 0,
+and every later F(x) adds one fixed-panel integral of
+f = psi_a (h - kappa) m' from the largest state so far at which F < 0.
+Newton in ln x on the exact slope dF/dln x = x f(x), inside a bracket
+grown by 1.5x from x_C and with bisection as fallback, finds the root
+and F(x*) together. p_independence_audit re-solves this same F for
+each p, so its spread is exactly 0.0 by construction; it cannot see a
+p leaking into the threshold equation. An audit independent of F is an
+open item in ROADMAP.md.
+
 The three coefficients are projections of the net flow h - kappa on
 the eigenfunctions on either side of x*, one tail integral each:
 
@@ -39,7 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from ._quad import integrate_to_inf, integrate_to_zero
+from ._quad import fixed_panels, integrate_to_inf, integrate_to_zero
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
 from .errors import NumericsError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
@@ -112,7 +122,9 @@ class Diagnostics:
     pasting_gap_value / pasting_gap_slope: relative mismatch of the two
     idle-value branches and their slopes at x*. growth_margin: minimum
     over a check grid of (R_{rho_idle} h - V_idle) / R_{rho_idle} h;
-    non-negative when the growth condition holds. root_residual: |F(x*)|.
+    non-negative when the growth condition holds. root_residual: |F(x*)|
+    as the root find evaluated it, from its anchor's F plus one panel
+    integral up to x*, not from a fresh tail walk.
     """
 
     pasting_gap_value: float
@@ -188,41 +200,95 @@ def _net_flow(params: ProblemParams) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: params.h(t) - kappa
 
 
-def _threshold_objective(spec: DiffusionSpec, params: ProblemParams) -> Callable[[float], float]:
+def _threshold_integrand(spec: DiffusionSpec,
+                         params: ProblemParams) -> tuple[Callable, Optional[float]]:
+    """f = psi_a (h - kappa) m', the integrand of F, and the lower
+    truncation limit of the active basis."""
     basis_a = excessive_basis(spec, params.rho_active)
-    m_prime = partial(speed_density, spec)
-    lo_lim, _ = _limits(basis_a)
-    f = _integrand(basis_a.psi, _net_flow(params), m_prime)
+    f = _integrand(basis_a.psi, _net_flow(params), partial(speed_density, spec))
+    return f, _limits(basis_a)[0]
+
+
+def _threshold_objective(spec: DiffusionSpec, params: ProblemParams) -> Callable[[float], float]:
+    """x -> F(x), defined for every x > 0.
+
+    The callable keeps an anchor (x_a, F(x_a)): the largest state seen
+    so far at which F < 0. At or above x_a, F(x) = F(x_a) plus one
+    fixed-panel integral over [x_a, x]; below it, or before any anchor
+    exists, F(x) is a tail walk down to 0. A root find that evaluates
+    F at its bracket ends walks once and moves the anchor up with the
+    bracket's lower end.
+    """
+    f, lo_lim = _threshold_integrand(spec, params)
+    anchor = None
 
     def objective(x: float) -> float:
-        return integrate_to_zero(f, x, limit=lo_lim)
+        nonlocal anchor
+        if anchor is None or x < anchor[0]:
+            value = integrate_to_zero(f, x, limit=lo_lim)
+        else:
+            value = anchor[1] + fixed_panels(f, anchor[0], x)
+        if value < 0.0 and (anchor is None or x > anchor[0]):
+            anchor = (x, value)
+        return value
 
     return objective
 
 
-def solve_threshold(spec: DiffusionSpec, params: ProblemParams) -> float:
-    """Unique root x* > x_C of F; raises NumericsError if the bracket
-    cannot be expanded to a sign change."""
+def _threshold_and_residual(spec: DiffusionSpec, params: ProblemParams) -> tuple[float, float]:
+    """The root x* > x_C of F and F(x*), from one tail walk.
+
+    The bracket [x_C (1 + 1e-9), 1.5 x_C] grows by 1.5x until F changes
+    sign; then Newton runs in v = ln x on the exact slope
+    dF/dv = x f(x), positive above x_C, from the bracket's upper end. A
+    Newton step that leaves the bracket is replaced by bisection in v.
+    The first Newton step below 1e-12 + 1e-13 x (brentq's tolerance)
+    ends the search: it is taken, and F is evaluated at the root it
+    gives. A bisection step never ends the search.
+    """
     objective = _threshold_objective(spec, params)
-    x_c = _break_even_state(params)
-    lo = x_c * (1.0 + 1e-9)
+    f, _ = _threshold_integrand(spec, params)
+    lo = _break_even_state(params) * (1.0 + 1e-9)
     f_lo = objective(lo)
     if not f_lo < 0.0:
         raise NumericsError(
             f"threshold objective not negative at break-even state "
             f"(F({lo:.6g}) = {f_lo:.3e})")
     hi = lo
-    f_hi = f_lo
     for _ in range(70):
         hi *= 1.5
         f_hi = objective(hi)
         if f_hi > 0.0:
             break
+        lo = hi
     else:
         raise NumericsError(
             f"threshold bracket expansion failed: F stayed negative up to "
             f"x = {hi:.6g} (last F = {f_hi:.3e}); check payoff growth")
-    return float(brentq(objective, lo, hi, xtol=1e-12, rtol=1e-13))
+    x, fx = hi, f_hi
+    for _ in range(100):
+        slope = x * float(f(np.asarray([x]))[0])
+        step = -fx / slope if slope > 0.0 else math.nan
+        if abs(step) * x <= 1e-12 + 1e-13 * x:
+            x *= math.exp(step)
+            return x, objective(x)
+        v = math.log(x) + step
+        v_lo, v_hi = math.log(lo), math.log(hi)
+        if not v_lo < v < v_hi:
+            v = 0.5 * (v_lo + v_hi)
+        x = math.exp(v)
+        fx = objective(x)
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+    raise NumericsError(f"threshold Newton iteration did not converge in [{lo!r}, {hi!r}]")
+
+
+def solve_threshold(spec: DiffusionSpec, params: ProblemParams) -> float:
+    """Unique root x* > x_C of F; raises NumericsError if the bracket
+    cannot be expanded to a sign change."""
+    return _threshold_and_residual(spec, params)[0]
 
 
 def _coefs_from_bases(params: ProblemParams, m_prime: Callable, x_star: float,
@@ -382,8 +448,7 @@ def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:
     """
     if check_entry_viability(params) is Viability.NEVER_ENTER:
         return _never_enter_solution(spec, params)
-    x_star = solve_threshold(spec, params)
-    residual = _threshold_objective(spec, params)(x_star)
+    x_star, residual = _threshold_and_residual(spec, params)
     basis_i = excessive_basis(spec, params.rho_idle)
     basis_a = excessive_basis(spec, params.rho_active)
     return _assemble(spec, params, x_star, basis_i, basis_a, residual)
@@ -392,8 +457,13 @@ def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:
 def p_independence_audit(spec: DiffusionSpec, params: ProblemParams,
                          p_grid: Sequence[float]) -> float:
     """Max pairwise spread of the solved threshold over a grid of
-    success probabilities; the threshold equation involves only
-    r + lambda, so the spread stays at root-finder tolerance."""
+    success probabilities.
+
+    Each p re-solves the same F, which involves only r + lambda, so the
+    spread is exactly 0.0: this checks that p reaches no part of the
+    root find, not the paper's result. An audit independent of F is an
+    open item in ROADMAP.md.
+    """
     ps = [float(p) for p in p_grid]
     if not ps:
         raise ValueError("p_grid must be non-empty")

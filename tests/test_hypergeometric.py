@@ -113,6 +113,18 @@ U_NEGATIVE_POWER_ORACLES = {
 }
 
 
+# frozen mpmath references (at the exact binary parameters) where U is one
+# generalized Laguerre sum with a near 0; a rule built from alpha = a - 1
+# misses them by 2.9e-11 at a = 1e-6 and by 1e-13 at a = 1e-3
+U_TINY_A_ORACLES = {
+    (1e-06, 1.5, 0.8): 1.000000742766581664,
+    (1e-06, 8.0, 2.0): 1.0000644318558347638,
+    (1e-06, -2.5, 7.0): 0.99999766335712605434,
+    (0.001, 8.0, 0.8): 9.8706163332553452534,
+    (0.001, 12.88, 0.8): 1015145.8547489974081,
+    (0.001, 12.88, 2.0): 73.01544318322748394,
+}
+
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
 
@@ -240,6 +252,11 @@ class TestTricomiU:
         for (a, b, z), want in {**U_SMALL_ORACLES, **U_NEGATIVE_POWER_ORACLES}.items():
             got = tricomi_u(HypergeometricArgs(a, b, z))
             assert rel_err(got, want) < 1e-12, (a, b, z)
+
+    def test_laguerre_sum_at_tiny_a(self):
+        for (a, b, z), want in U_TINY_A_ORACLES.items():
+            got = tricomi_u(HypergeometricArgs(a, b, z))
+            assert rel_err(got, want) < 2e-14, (a, b, z)
 
     def test_scalar_matches_vector_bitwise(self):
         # the arrays cross every edge between the Laguerre sum and the

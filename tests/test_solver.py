@@ -12,6 +12,7 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from entrysolve import (
     Mode,
@@ -22,6 +23,7 @@ from entrysolve import (
     affine,
     check_entry_viability,
     coefficients,
+    custom_diffusion,
     custom_payoff,
     excessive_basis,
     gbm,
@@ -34,7 +36,7 @@ from entrysolve import (
     solve_threshold,
     speed_density,
 )
-from entrysolve import _quad
+from entrysolve import _quad, solver
 from entrysolve.solver import _assemble, _break_even_state, _threshold_objective
 from entrysolve.diffusions import ExcessiveBasis
 
@@ -53,6 +55,9 @@ G_IDLE = {2.0: 0.0090191640214976534064,
           8.0: 1.3579759635797239375}
 G_IDLE_STAR = 0.43087281900192150508
 G_ACTIVE = {2.0: 0.40508421545796874307, 8.0: 2.3579759635797239375}
+
+LOG_MR = custom_diffusion(lambda x: 0.4 * x * (math.log(6.0) - np.log(x)),
+                          lambda x: 0.35 * x)
 
 # roots of (beta^2/2) t (t-1) + alpha t = rho (same frozen set as the
 # basis tests); the threshold closed form needs the active-rate pair
@@ -147,6 +152,52 @@ class TestThreshold:
         assert F(4.42) < F(3.0) < F(1.0) < 0.0
         assert F(4.42) < F(5.0) < 0.0 < F(6.0)
         assert abs(F(sol.x_star)) < 1e-8
+
+    @pytest.mark.parametrize("spec, params", [
+        (SPEC, PARAMS),
+        (SPEC, replace(PARAMS, h=affine(0.6))),
+        (SPEC, replace(PARAMS, h=saturating(4.0, 0.5))),
+        (logistic(0.05, 0.25, 0.2), replace(PARAMS, p=1.0)),
+        (LOG_MR, PARAMS)])
+    def test_matches_brentq_on_walked_objective(self, spec, params):
+        # the root of F with every evaluation a fresh walk down to 0,
+        # bracketed from x_C as solve_threshold does
+        basis_a = excessive_basis(spec, params.rho_active)
+        kappa = params.break_even
+
+        def f(t):
+            return basis_a.psi(t) * (params.h(t) - kappa) * speed_density(spec, t)
+
+        def walked(x):
+            return _quad.integrate_to_zero(
+                f, x, limit=basis_a.x_lo if basis_a.x_lo > 0.0 else None)
+
+        lo = _break_even_state(params) * (1.0 + 1e-9)
+        hi = 1.5 * lo
+        while walked(hi) <= 0.0:
+            hi *= 1.5
+        want = brentq(walked, lo, hi, xtol=1e-12, rtol=1e-13)
+        assert solve_threshold(spec, params) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2), LOG_MR])
+    def test_solve_walks_one_tail_for_the_root(self, spec, monkeypatch):
+        # one walk down from x_C for F, then the five of _assemble
+        walks = []
+        walk = _quad._walk
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(_quad, "_walk", counted)
+        solve(spec, PARAMS)
+        assert len(walks) == 6
+
+    def test_bracket_expansion_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_threshold_objective",
+                            lambda spec, params: lambda x: -1.0)
+        with pytest.raises(NumericsError, match="bracket expansion failed"):
+            solve_threshold(SPEC, PARAMS)
 
     def test_p_independence(self):
         spread = p_independence_audit(SPEC, PARAMS, (0.2, 0.4, 0.6, 0.8, 1.0))
