@@ -26,8 +26,8 @@ from .errors import AccuracyError, ConstructionError, NumericsError, QuadratureE
 from .hypergeometric import HypergeometricArgs, kummer_m, tricomi_u
 from .payoffs import Payoff, PayoffKind, affine, limit_at_infinity, power, saturating
 from .payoffs import custom as custom_payoff
-from .resolvent import (Side, resolvent, resolvent_equation_check,
-                        resolvent_on_grid, resolvent_prime, resolvent_split)
+from .resolvent import (resolvent, resolvent_equation_check, resolvent_on_grid,
+                        resolvent_prime)
 from .simulate import (Formulation, PolicyEstimate, SimConfig,
                        simulate_active_value, simulate_idle_value,
                        threshold_suboptimality_scan)
@@ -53,7 +53,6 @@ __all__ = [
     "PolicyEstimate",
     "ProblemParams",
     "QuadratureError",
-    "Side",
     "SimConfig",
     "Solution",
     "Viability",
@@ -73,7 +72,6 @@ __all__ = [
     "resolvent_equation_check",
     "resolvent_on_grid",
     "resolvent_prime",
-    "resolvent_split",
     "saturating",
     "scale_density",
     "simulate_active_value",

@@ -17,7 +17,6 @@ the first evaluation (a diverging upper tail raises QuadratureError).
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -26,11 +25,6 @@ from scipy.interpolate import CubicSpline
 from ._quad import fixed_panels, integrate_to_inf, integrate_to_zero
 from .diffusions import ExcessiveBasis
 from .payoffs import Payoff
-
-
-class Side(Enum):
-    BELOW = "below"
-    ABOVE = "above"
 
 
 def _limits(basis: ExcessiveBasis) -> tuple:
@@ -58,40 +52,13 @@ def _check_scalar_state(x) -> float:
 
 def resolvent(basis: ExcessiveBasis, m_prime: Callable, h: Payoff, x) -> float:
     """(R_rho h)(x) for a non-negative payoff h: resolvent_on_grid at x."""
-    values, _ = resolvent_on_grid(basis, m_prime, h, [_check_scalar_state(x)])
-    return float(values[0])
+    return float(_resolvent_values(basis, m_prime, h, [_check_scalar_state(x)])[0])
 
 
 def resolvent_prime(basis: ExcessiveBasis, m_prime: Callable, h: Payoff, x) -> float:
     """d/dx of (R_rho h) at x: the derivative from resolvent_on_grid at x."""
     _, primes = resolvent_on_grid(basis, m_prime, h, [_check_scalar_state(x)])
     return float(primes[0])
-
-
-def resolvent_split(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
-                    y, side: Side, x) -> float:
-    """Resolvent of h restricted below y (Side.BELOW) or above y
-    (Side.ABOVE); the two sides sum to the full resolvent."""
-    x = _check_scalar_state(x)
-    y = _check_scalar_state(y)
-    lo_lim, hi_lim = _limits(basis)
-    f_psi = _integrand(basis.psi, h, m_prime)
-    f_phi = _integrand(basis.phi, h, m_prime)
-    phi_x = float(basis.phi(np.asarray([x]))[0])
-    psi_x = float(basis.psi(np.asarray([x]))[0])
-    if side is Side.BELOW:
-        if x >= y:
-            val = phi_x * integrate_to_zero(f_psi, y, limit=lo_lim)
-        else:
-            val = phi_x * integrate_to_zero(f_psi, x, limit=lo_lim) \
-                + psi_x * fixed_panels(f_phi, x, y)
-    else:
-        if x < y:
-            val = psi_x * integrate_to_inf(f_phi, y, limit=hi_lim)
-        else:
-            val = phi_x * fixed_panels(f_psi, y, x) \
-                + psi_x * integrate_to_inf(f_phi, x, limit=hi_lim)
-    return float(val / basis.wronskian)
 
 
 def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
@@ -105,6 +72,24 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     Returns:
         (values, primes) as float arrays aligned with xs.
     """
+    xs, i_lo, i_hi = _grid_integrals(basis, m_prime, h, xs)
+    w = basis.wronskian
+    values = (basis.phi(xs) * i_lo + basis.psi(xs) * i_hi) / w
+    primes = (basis.phi_prime(xs) * i_lo + basis.psi_prime(xs) * i_hi) / w
+    return values, primes
+
+
+def _resolvent_values(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
+                      xs) -> np.ndarray:
+    """The values of resolvent_on_grid alone, bit for bit, without
+    evaluating the derivatives psi' and phi' on the grid."""
+    xs, i_lo, i_hi = _grid_integrals(basis, m_prime, h, xs)
+    return (basis.phi(xs) * i_lo + basis.psi(xs) * i_hi) / basis.wronskian
+
+
+def _grid_integrals(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
+                    xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated grid and I_lo, I_hi on it."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
@@ -121,10 +106,7 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     i_hi = np.cumsum(np.concatenate((
         [integrate_to_inf(f_phi, xs[-1], limit=hi_lim)],
         fixed_panels(f_phi, xs[:-1], xs[1:])[::-1])))[::-1]
-    w = basis.wronskian
-    values = (basis.phi(xs) * i_lo + basis.psi(xs) * i_hi) / w
-    primes = (basis.phi_prime(xs) * i_lo + basis.psi_prime(xs) * i_hi) / w
-    return values, primes
+    return xs, i_lo, i_hi
 
 
 class _LogLogTable:
@@ -171,8 +153,7 @@ def resolvent_equation_check(basis_q: ExcessiveBasis, basis_p: ExcessiveBasis,
         mag = np.abs(basis_p.psi(span)) + np.abs(basis_p.phi(span))
         ok = np.isfinite(mag) & (mag < 1e250)
     span = span[ok]
-    inner_vals, _ = resolvent_on_grid(basis_p, m_prime, h, span)
-    table = _LogLogTable(span, inner_vals)
+    table = _LogLogTable(span, _resolvent_values(basis_p, m_prime, h, span))
 
     rq = resolvent(basis_q, m_prime, h, x)
     rp = resolvent(basis_p, m_prime, h, x)

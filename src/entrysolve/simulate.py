@@ -14,14 +14,24 @@ Paths are simulated in fixed blocks of 4096 (the last block is padded:
 random draws always span the full block width and unused columns are
 discarded), with three independent Philox streams per block, keyed by
 (seed, block index, tag): tag 0 drives diffusion noise, tag 1 the
-exponential jump clock, tag 2 the catastrophe marks. Per-path noise
-consumption depends only on the path's own jump count, so each path's
-result is a function of (seed, path index) alone under this block
-layout. Jump times are handled exactly: a step containing a jump is
-advanced in sub-segments that end precisely at the jump. Only the paths
-that move do work: after a step's first sub-segment only the paths that
-have just jumped are advanced, and in FULL a path killed by a
-catastrophe is dropped from the block.
+exponential jump clock, tag 2 the catastrophe marks. Each stream is
+read as an endless (row, 4096) matrix whose rows are drawn only when a
+live path first reaches them, a chunk at a time: 64 rows of normals, 16
+of jump times (running sums of the exponential gaps, carried from chunk
+to chunk) and 16 of marks. Row r, column j does not depend on the
+chunking, so the values are bitwise those of drawing every row up
+front; in FULL, where a block's paths are usually all dead long before
+t_max, most jump and mark rows are never drawn. Normal rows are dropped
+once every live path has moved past them, so the noise buffer holds
+only the rows between the slowest and the fastest path, and the jump
+and mark buffers only the rows up to the furthest jump any lane has
+reached. Per-path noise consumption depends only on the path's own jump
+count, so each path's result is a function of (seed, path index) alone
+under this block layout. Jump times are handled exactly: a step
+containing a jump is advanced in sub-segments that end precisely at the
+jump. Only the paths that move do work: after a step's first
+sub-segment only the paths that have just jumped are advanced, and in
+FULL a path killed by a catastrophe is dropped from the block.
 
 Blocks are independent, so they may run in forked worker processes, one
 per usable CPU. The per-block sums are still reduced with math.fsum in
@@ -45,11 +55,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusions import DiffusionKind, DiffusionSpec
-from .errors import NumericsError
 from .solver import ProblemParams
 
 _BLOCK = 4096
-_CHUNK = 256
+_CHUNK = 64          # normal rows per draw
+_JUMP_CHUNK = 16     # jump-time and mark rows per draw
 
 
 class Formulation(Enum):
@@ -94,7 +104,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PolicyEstimate:
-    """Estimate of a policy value with sampling error and run metadata."""
+    """Estimate of a policy value with sampling error and run metadata.
+
+    Besides the run settings, metadata holds the work of the whole run,
+    summed over blocks and shared by every row simulated with it:
+    path_substeps (lanes advanced, summed over sub-segments), jumps,
+    noise_rows_drawn and jump_rows_drawn (rows of 4096 draws each).
+    """
 
     mean: float
     stderr: float
@@ -105,38 +121,60 @@ class PolicyEstimate:
 
 
 class _RowDealer:
-    """Serves entries of an implicit (inf, width) standard-normal matrix.
+    """Serves entries of an implicit (inf, width) matrix whose rows
+    fill(out) writes in stream order, a whole number of chunks at a time.
 
-    Rows are materialized lazily in chunks from a single generator into
-    one contiguous buffer and dropped once every live path has moved
-    past them, so memory stays bounded while row r, column j is a fixed
-    function of the stream.
+    Rows are made only when a path first asks for them, and release()
+    drops the rows every live path has moved past, while row r, column j
+    stays a fixed function of the stream.
     """
 
-    def __init__(self, rng: np.random.Generator, width: int):
-        self._rng = rng
+    def __init__(self, fill, width: int, chunk: int):
+        self._fill = fill
         self._width = width
+        self._chunk = chunk
         self._buf = np.empty((0, width))
         self._base = 0
+        self.rows_drawn = 0
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries (rows[i], cols[i]); no row may lie below the last
         release floor."""
         top = self._base + len(self._buf)
-        need = int(rows.max())
+        need = int(rows.max(initial=-1))
         if need >= top:
-            fresh = [self._rng.standard_normal((_CHUNK, self._width))
-                     for _ in range((need - top) // _CHUNK + 1)]
-            self._buf = np.concatenate([self._buf, *fresh])
-        return self._buf.ravel().take((rows - self._base) * self._width + cols)
+            live = len(self._buf)
+            fresh = ((need - top) // self._chunk + 1) * self._chunk
+            buf = np.empty((live + fresh, self._width))
+            buf[:live] = self._buf
+            self._fill(buf[live:])
+            self._buf = buf
+            self.rows_drawn += fresh
+        return self._buf.take((rows - self._base) * self._width + cols)
 
     def release(self, floor: int) -> None:
-        """Drop the chunks wholly below row floor, which must be the
-        minimum row pointer over every live path, moving or not."""
-        drop = (floor - self._base) // _CHUNK * _CHUNK
-        if drop > 0:
-            self._buf = self._buf[drop:]
-            self._base += drop
+        """Drop the rows below floor, which must be the minimum row
+        pointer over every live path, moving or not."""
+        if floor > self._base:
+            self._buf = self._buf[floor - self._base:]
+            self._base = floor
+
+
+def _jump_fill(rng: np.random.Generator, rate: float, width: int):
+    """fill(out) for the jump-time matrix: row r holds each lane's
+    (r+1)-th jump time, the running sum of exponential gaps carried
+    across chunks, so every value is bitwise that of one cumsum over all
+    rows."""
+    carry = np.zeros(width)
+
+    def fill(out):
+        gaps = rng.exponential(1.0 / rate, size=out.shape)
+        np.maximum(gaps, 1e-12, out=gaps)
+        gaps[0] += carry
+        np.cumsum(gaps, axis=0, out=out)
+        carry[:] = out[-1]
+
+    return fill
 
 
 def _log_stepper(spec: DiffusionSpec):
@@ -180,41 +218,30 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
     th = np.asarray(thresholds, dtype=float)[:, None]
     h, p, big_k, run_c = params.h, params.p, params.K, params.C
 
-    noise = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((cfg.seed, block_idx, 0))))
-    events = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((cfg.seed, block_idx, 1))))
-    dealer = _RowDealer(noise, width)
+    def stream(tag):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((cfg.seed, block_idx, tag))))
 
-    marks = None
+    noise = stream(0)
+    dealer = _RowDealer(lambda out: noise.standard_normal(out=out), width, _CHUNK)
+    lane = np.arange(width)
+    jptr = np.zeros(width, dtype=np.int64)
     if rate > 0.0:
-        mean_jumps = rate * t_max
-        cap = int(mean_jumps + 12.0 * math.sqrt(mean_jumps) + 30.0)
-        gaps = events.exponential(1.0 / rate, size=(cap, width))
-        np.maximum(gaps, 1e-12, out=gaps)
-        jtimes = np.cumsum(gaps, axis=0)
-        if float(jtimes[-1].min()) < t_max:
-            raise NumericsError(
-                f"jump buffer exhausted before t={t_max:g}; rate {rate:g} "
-                f"with cap {cap} was insufficient")
-        # sentinel so an exhausted jump pointer reads +inf, never a
-        # stale already-processed time
-        jtimes = np.vstack([jtimes, np.full((1, width), np.inf)])
-        if full:
-            mark_rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((cfg.seed, block_idx, 2))))
-            marks = mark_rng.random(size=(cap + 1, width)).ravel()
+        jumps = _RowDealer(_jump_fill(stream(1), rate, width), width, _JUMP_CHUNK)
+        next_jump = jumps.take(jptr, lane)
     else:
         # thinned formulation with p = 0: no surviving exits at all
-        jtimes = np.full((1, width), np.inf)
-    jtimes = jtimes.ravel()
+        jumps = None
+        next_jump = np.full(width, np.inf)
+    if full:
+        mark_rng = stream(2)
+        marks = _RowDealer(lambda out: mark_rng.random(out=out), width, _JUMP_CHUNK)
 
     advance = _log_stepper(spec)
     # Per-path state is kept compact over the working set: the lanes
     # (block columns) still simulated, in lane order. In FULL a lane
     # leaves it at the end of the step in which a catastrophe kills it;
     # its accumulators are then scattered back to column lane[i].
-    lane = np.arange(width)
     y = np.full(width, math.log(x0))
     x = np.full(width, float(x0))
     active = np.repeat(np.asarray(start_flags, dtype=bool)[:, None], width, axis=1)
@@ -222,23 +249,24 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
     fee = np.zeros((nt, width))
     ent = np.zeros((nt, width), dtype=np.int64)
     ptr = np.zeros(width, dtype=np.int64)
-    jptr = np.zeros(width, dtype=np.int64)
-    next_jump = jtimes[:width].copy()
     f = h(x) - run_c
     totals, fees, entries = np.zeros_like(tot), np.zeros_like(fee), np.zeros_like(ent)
 
-    def pay_entry(rows, cols, fee_k):
-        # fee_k = K * discount, scalar or one value per (rows, cols) pair
-        tot[rows, cols] -= fee_k
-        fee[rows, cols] += fee_k
-        ent[rows, cols] += 1
+    def pay_entry(flat, fee_k):
+        # flat: C-order indices into the (nt, lanes) accumulators;
+        # fee_k = K * discount, a scalar or one value per index
+        tot.put(flat, tot.take(flat) - fee_k)
+        fee.put(flat, fee.take(flat) + fee_k)
+        ent.put(flat, ent.take(flat) + 1)
 
     def enter_idle(disc):
-        enter = (~active) & (x >= th)
-        if enter.any():
-            pay_entry(*np.nonzero(enter), big_k * disc)
+        enter = (x >= th) > active
+        flat = np.flatnonzero(enter)
+        if flat.size:
+            pay_entry(flat, big_k * disc)
             active[...] |= enter
 
+    substeps = n_jumps = 0
     enter_idle(1.0)
     for k in range(n_steps):
         t0k = k * cfg.dt
@@ -255,6 +283,7 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
             t_tar = t_tar[sel]
         gone = []
         while t_tar.size:
+            substeps += t_tar.size
             dtv = t_tar - t_cur
             ys = advance(y[sel], dtv, dealer.take(ptr[sel], lane[sel]))
             ptr[sel] += 1
@@ -268,24 +297,26 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
             pos = np.flatnonzero(jumped)
             if not pos.size:
                 break
+            n_jumps += pos.size
             if isinstance(sel, np.ndarray):
                 pos = sel[pos]
             t_cur = t_tar[jumped]
             xj = xs[jumped]
             if full:
-                died = marks.take(jptr[pos] * width + lane[pos]) >= p
+                died = marks.take(jptr[pos], lane[pos]) >= p
                 if died.any():
                     gone.append(pos[died])
                     pos, t_cur, xj = pos[~died], t_cur[~died], xj[~died]
             jptr[pos] += 1
-            next_jump[pos] = jtimes.take(jptr[pos] * width + lane[pos])
+            next_jump[pos] = jumps.take(jptr[pos], lane[pos])
             # every exit ends the project; re-entry is immediate when the
             # state is already at or above the threshold
             reenter = xj >= th
             active[:, pos] = reenter
             if reenter.any():
                 rows, cols = np.nonzero(reenter)
-                pay_entry(rows, pos[cols], big_k * np.exp(-rho * t_cur)[cols])
+                pay_entry(rows * lane.size + pos[cols],
+                          big_k * np.exp(-rho * t_cur)[cols])
             t_tar = np.minimum(next_jump[pos], t1k)
             move = t_tar > t_cur
             sel, t_cur, t_tar = pos[move], t_cur[move], t_tar[move]
@@ -296,9 +327,11 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
                 tot[:, dead], fee[:, dead], ent[:, dead]
             keep = np.ones(lane.size, dtype=bool)
             keep[dead] = False
+            keep = np.flatnonzero(keep)
             lane, y, x, f, ptr, jptr, next_jump = (
-                a[keep] for a in (lane, y, x, f, ptr, jptr, next_jump))
-            active, tot, fee, ent = (a[:, keep] for a in (active, tot, fee, ent))
+                a.take(keep) for a in (lane, y, x, f, ptr, jptr, next_jump))
+            active, tot, fee, ent = (
+                a.take(keep, axis=1) for a in (active, tot, fee, ent))
             if not lane.size:
                 break
         enter_idle(math.exp(-rho * t1k))
@@ -315,8 +348,16 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
         "dead": float(n_used - np.count_nonzero(lane < n_used)) if full else math.nan,
         "t_max": t_max,
         "rho": rho,
+        # work over the whole block width, padding lanes included
+        "path_substeps": substeps,
+        "jumps": n_jumps,
+        "noise_rows_drawn": dealer.rows_drawn,
+        "jump_rows_drawn": 0 if jumps is None else jumps.rows_drawn,
     }
 
+
+# Work counters each block returns; _run_policy sums them over blocks.
+_WORK_KEYS = ("path_substeps", "jumps", "noise_rows_drawn", "jump_rows_drawn")
 
 # Set by the pool initializer in forked workers only, never in the caller.
 _worker_job: Optional[tuple] = None
@@ -373,6 +414,7 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
     parts = {key: [[] for _ in range(nt)] for key in
              ("sum_v", "sum_sq", "sum_entries", "sum_fees")}
     dead_parts: list[float] = []
+    work = dict.fromkeys(_WORK_KEYS, 0)
     t_max = rho = 0.0
     job = (spec, params, thresholds, start_flags, x0, cfg)
     for out in _map_blocks(job, n_blocks):
@@ -380,6 +422,8 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
             for i in range(nt):
                 parts[key][i].append(float(out[key][i]))
         dead_parts.append(out["dead"])
+        for key in work:
+            work[key] += out[key]
         t_max, rho = out["t_max"], out["rho"]
 
     full = cfg.formulation is Formulation.FULL
@@ -409,6 +453,7 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
             "mean_discounted_fees": mean_fees,
             "fee_bound": fee_bound,
             "truncation_bias_bound": bias,
+            **work,
         }
         results.append(PolicyEstimate(
             mean=mean, stderr=stderr, n_paths=n,

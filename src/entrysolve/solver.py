@@ -53,7 +53,7 @@ from ._quad import fixed_panels, integrate_to_inf, integrate_to_zero
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
 from .errors import NumericsError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
-from .resolvent import _integrand, _limits, resolvent_on_grid
+from .resolvent import _integrand, _limits, _resolvent_values, resolvent_on_grid
 # unused; perfbench/tracing.py patches these names
 from .resolvent import resolvent, resolvent_prime  # noqa: F401
 
@@ -360,16 +360,16 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
         return c_i1 * basis_i.psi(grid)
 
     def idle_above(grid):
-        vals, _ = resolvent_on_grid(basis_i, m_prime, h, grid)
+        vals = _resolvent_values(basis_i, m_prime, h, grid)
         return vals - kappa / rho_i + d_i2 * basis_i.phi(grid)
 
     def active_below(grid):
-        vals, _ = resolvent_on_grid(basis_a, m_prime, h, grid)
+        vals = _resolvent_values(basis_a, m_prime, h, grid)
         return (vals - params.C / rho_a
                 + c_i1 * basis_i.psi(grid) + c_a1 * basis_a.psi(grid))
 
     def active_above(grid):
-        vals, _ = resolvent_on_grid(basis_i, m_prime, h, grid)
+        vals = _resolvent_values(basis_i, m_prime, h, grid)
         return (vals - (params.C + params.K * params.p * params.lam) / rho_i
                 + d_i2 * basis_i.phi(grid))
 
@@ -418,8 +418,8 @@ def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solutio
         return _piecewise(x, math.inf, np.zeros_like, np.zeros_like)
 
     def active_fn(grid):
-        vals, _ = resolvent_on_grid(basis_a, m_prime, params.h, grid)
-        return vals - params.C / params.rho_active
+        return (_resolvent_values(basis_a, m_prime, params.h, grid)
+                - params.C / params.rho_active)
 
     def value_active_fn(x):
         return _piecewise(x, math.inf, active_fn, active_fn)

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from entrysolve import (
     QuadratureError,
-    Side,
     excessive_basis,
     gbm,
     logistic,
@@ -27,11 +26,11 @@ from entrysolve import (
     resolvent_equation_check,
     resolvent_on_grid,
     resolvent_prime,
-    resolvent_split,
     speed_density,
 )
 from entrysolve import custom_diffusion
 from entrysolve._quad import fixed_panels, integrate_to_inf, integrate_to_zero
+from entrysolve.resolvent import _resolvent_values
 
 ALPHA, BETA = 0.05, 0.25
 SPEC = gbm(ALPHA, BETA)
@@ -97,32 +96,6 @@ class TestClosedForms:
 
 
 class TestStructure:
-    def test_split_additivity(self, basis11):
-        y = 3.0
-        for x in (1.5, 3.0, 5.0):
-            below = resolvent_split(basis11, m_prime, SQRT, y, Side.BELOW, x)
-            above = resolvent_split(basis11, m_prime, SQRT, y, Side.ABOVE, x)
-            full = resolvent(basis11, m_prime, SQRT, x)
-            assert below + above == pytest.approx(full, rel=1e-10)
-
-    def test_split_pure_phi_above_cutoff(self, basis11):
-        # from above the cutoff, income below y is reached only by
-        # falling, so the value is proportional to phi
-        y = 3.0
-        xs = (4.0, 6.0, 9.0)
-        ratios = [resolvent_split(basis11, m_prime, SQRT, y, Side.BELOW, x)
-                  / float(basis11.phi(x)) for x in xs]
-        assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
-        assert ratios[1] == pytest.approx(ratios[2], rel=1e-10)
-
-    def test_split_pure_psi_below_cutoff(self, basis11):
-        y = 3.0
-        xs = (0.5, 1.2, 2.5)
-        ratios = [resolvent_split(basis11, m_prime, SQRT, y, Side.ABOVE, x)
-                  / float(basis11.psi(x)) for x in xs]
-        assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
-        assert ratios[1] == pytest.approx(ratios[2], rel=1e-10)
-
     def test_prime_matches_finite_differences(self, basis11):
         for x in (1.0, 2.0, 5.0):
             h = 1e-5 * x
@@ -138,6 +111,22 @@ class TestStructure:
             assert vals[k] == pytest.approx(resolvent(basis11, m_prime, SQRT, x), rel=1e-10)
             assert primes[k] == pytest.approx(
                 resolvent_prime(basis11, m_prime, SQRT, x), rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2),
+                                      custom_diffusion(lambda x: 0.05 * x,
+                                                       lambda x: 0.25 * x)],
+                             ids=["gbm", "logistic", "custom"])
+    def test_values_only_path_is_bitwise_the_grid_values(self, spec):
+        # the value functions take the values without the derivatives;
+        # they must be exactly the values resolvent_on_grid returns
+        basis = excessive_basis(spec, 1.1)
+
+        def mp(t):
+            return speed_density(spec, t)
+
+        xs = np.geomspace(0.5, 8.0, 9)
+        vals, _ = resolvent_on_grid(basis, mp, SQRT, xs)
+        assert np.array_equal(_resolvent_values(basis, mp, SQRT, xs), vals)
 
     def test_grid_validation(self, basis11):
         with pytest.raises(ValueError):

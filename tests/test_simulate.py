@@ -96,6 +96,46 @@ class TestPinnedOutput:
         assert got == self.PINNED[(form, x0)]
 
 
+class TestEulerPinnedOutput:
+    """Repr-exact output of a 2-block run (the second one padded) for the
+    two kinds stepped by Euler on ln X, recorded before jump times and
+    marks were drawn lazily. At p = 0.9 some FULL lanes see dozens of
+    jumps, so the jump and mark buffers grow several times per block."""
+
+    PARAMS = ProblemParams(r=0.1, lam=1.0, p=0.9, K=1.0, C=1.0, h=power(0.5))
+    # name -> (spec, threshold, x0)
+    MODELS = {
+        "logistic": (logistic(0.05, 0.25, 0.2), 5.2357, 3.0),
+        "custom": (custom_diffusion(lambda x: 0.4 * x * (1.79 - np.log(x)),
+                                    lambda x: 0.35 * x), 7.0, 4.0),
+    }
+    # (model, formulation) -> per row (idle, active): (mean, stderr, n_entries_mean)
+    PINNED = {
+        ("logistic", Formulation.FULL): (
+            (0.192571126271859, 0.01243638242937709, 1.4552),
+            (0.850553054635136, 0.015650063578585824, 1.429)),
+        ("logistic", Formulation.THINNED): (
+            (0.19969953988723557, 0.008318685911135881, 11.9078),
+            (0.8569584238251988, 0.01191874724301938, 11.8778)),
+        ("custom", Formulation.FULL): (
+            (0.6907935367691573, 0.019159979354649585, 2.9738),
+            (1.6283803022001015, 0.023436290048282314, 2.8814)),
+        ("custom", Formulation.THINNED): (
+            (0.6958341496567605, 0.012988258599279798, 23.468),
+            (1.633668016311329, 0.017445325542805663, 23.363)),
+    }
+
+    @pytest.mark.parametrize("model, form", list(PINNED),
+                             ids=[f"{m}-{f.value}" for m, f in PINNED])
+    def test_two_block_run_matches_pinned_values(self, model, form):
+        spec, th, x0 = self.MODELS[model]
+        rows = _run_policy(spec, self.PARAMS, [th, th], [False, True], x0,
+                           SimConfig(n_paths=5000, seed=11, dt=0.1,
+                                     formulation=form))
+        got = tuple((r.mean, r.stderr, r.n_entries_mean) for r in rows)
+        assert got == self.PINNED[(model, form)]
+
+
 class TestBlockPool:
     def test_worker_pool_matches_in_process_run(self, monkeypatch):
         # lambda drift and volatility cannot be pickled: forked workers
@@ -226,6 +266,38 @@ class TestMetadata:
         est = simulate_idle_value(SPEC, PARAMS, X_STAR, 2.0,
                                   cfg(n=100, horizon_T=5.0))
         assert est.metadata["t_max"] == 5.0
+
+    def test_full_draws_only_the_rows_its_live_paths_reach(self):
+        # acceptance configuration, one block: every path is dead long
+        # before t_max, so far fewer jump rows are drawn than the
+        # lam * t_max + 12 sqrt(lam * t_max) + 30 = 309 an up-front
+        # buffer would need, and far fewer noise rows than steps
+        run_cfg = SimConfig(n_paths=4096, seed=123, dt=0.04,
+                            formulation=Formulation.FULL)
+        md = simulate_idle_value(SPEC, PARAMS, X_STAR, 2.0, run_cfg).metadata
+        mean_jumps = PARAMS.lam * md["t_max"]
+        assert int(mean_jumps + 12.0 * math.sqrt(mean_jumps) + 30.0) == 309
+        assert 0 < md["jump_rows_drawn"] <= 32
+        n_steps = math.ceil(md["t_max"] / run_cfg.dt)
+        assert 0 < md["noise_rows_drawn"] < n_steps // 4
+        assert 0 < md["jumps"] < md["path_substeps"]
+
+    def test_work_counters_add_up_in_thinned(self):
+        # no lane dies in THINNED, so each lane takes one sub-segment
+        # per step plus one per jump inside a step, and the counters
+        # are summed over the blocks, padding lanes included
+        run_cfg = cfg(n=5000, horizon_T=4.0)
+        rows = _run_policy(SPEC, PARAMS, [X_STAR], [True], 2.0, run_cfg)
+        md = rows[0].metadata
+        n_steps = math.ceil(md["t_max"] / run_cfg.dt)
+        assert md["jumps"] > 0
+        assert md["path_substeps"] == 2 * 4096 * n_steps + md["jumps"]
+        assert md["noise_rows_drawn"] % simulate._CHUNK == 0
+        assert md["jump_rows_drawn"] % simulate._JUMP_CHUNK == 0
+        no_exits = ProblemParams(r=0.1, lam=1.0, p=0.0, K=1.0, C=1.0, h=power(0.5))
+        md = simulate_idle_value(SPEC, no_exits, X_STAR, 2.0, run_cfg).metadata
+        assert (md["jumps"], md["jump_rows_drawn"]) == (0, 0)
+        assert md["path_substeps"] == 2 * 4096 * n_steps
 
 
 class TestValidation:
