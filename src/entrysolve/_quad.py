@@ -116,10 +116,12 @@ _WINDOW_WEIGHTS = (_WINDOW_HALF[:, None] * _WEIGHTS).ravel()
 def _unconverged(hi: np.ndarray, lo: np.ndarray, mass: np.ndarray, tol: float) -> np.ndarray:
     """Indices where the two rules disagree beyond tol of the mass; a
     non-finite sum never passes."""
-    with np.errstate(invalid="ignore"):
-        return np.flatnonzero(~(np.abs(hi - lo) <= tol * np.maximum(mass, 1e-300)))
+    return np.flatnonzero(~(np.abs(hi - lo) <= tol * np.maximum(mass, 1e-300)))
 
 
+# a non-finite sum raises QuadratureError, so numpy's overflow warnings
+# from f would only repeat it (here and in _walk)
+@np.errstate(over="ignore", invalid="ignore")
 def fixed_panels(f: Callable, a, b):
     """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
     over arrays of endpoints; scalar endpoints give a float.
@@ -167,6 +169,7 @@ def _tail_estimate(last: float, prev: float, where: str) -> float:
     return last * q / (1.0 - q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _walk(f: Callable, start: float, limit: float | None, up: bool) -> float:
     """Integrate f from start toward infinity (up) or toward 0, one log
     window at a time; limit, when given, truncates the walk there."""

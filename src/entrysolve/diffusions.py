@@ -12,14 +12,15 @@ Three kinds are supported:
   * LOGISTIC: drift alpha*x*(1 - gamma*x), vol beta*x; psi and phi
     combine a power with confluent hypergeometric factors M and U.
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
-    numerically from a Riccati equation for (ln u)' on the log axis,
+    numerically from a Riccati equation for s = (ln u)' on the log axis,
     each in one stiff LSODA shot with the analytic Jacobian across
-    |ln x| <= 30, from the end where it vanishes. The exponent B of the
-    scale and speed densities is tabulated once per model
-    (_ScaleExponent): Chebyshev fits of 2 x drift / vol^2 on the nodes,
-    weights and half-unit panels of ln x of _quad's Clenshaw-Curtis rule,
-    grown outward from x = 1 as far as the states asked for reach, so
-    later calls evaluate B without drift or vol.
+    |ln x| <= 30, from the end where it vanishes. One table type
+    (_PanelTable) then serves both ln u and the exponent B of the scale
+    and speed densities, as antiderivatives from x = 1 of s and of
+    2 x drift / vol^2: Chebyshev fits on the nodes, weights and half-unit
+    panels of ln x of _quad's Clenshaw-Curtis rule, grown outward as far
+    as the states asked for reach and chopped to the degrees above
+    rounding, so later calls need no ODE solution, drift or vol.
 """
 from __future__ import annotations
 
@@ -162,12 +163,13 @@ def _clenshaw(coefs: np.ndarray, piece: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class _BTable:
+class _Table:
     """Pieces of v = ln x covering the coarse panels k_lo <= k < k_hi,
-    ascending: left edges, widths, antiderivative series of q in
-    t in [-1, 1] (one row per degree), integrals, B at the left edges
-    as a compensated sum b_sum + b_carry, and each series' value at
-    t = -1."""
+    ascending: left edges, widths, antiderivative series of g in
+    t in [-1, 1] (one row per degree) and integrals, kept whole for
+    growth; then the series chopped to the degrees evaluated, G at the
+    left edges as a compensated sum g_sum + g_carry, and each chopped
+    series' value at t = -1."""
 
     k_lo: int
     k_hi: int
@@ -175,49 +177,43 @@ class _BTable:
     widths: np.ndarray
     coefs: np.ndarray
     integrals: np.ndarray
-    b_sum: np.ndarray
-    b_carry: np.ndarray
+    terms: np.ndarray
+    g_sum: np.ndarray
+    g_carry: np.ndarray
     f_left: np.ndarray
 
 
-class _ScaleExponent:
-    """B(x) = integral_1^x 2 drift / vol^2 of a CUSTOM model, tabulated.
+class _PanelTable:
+    """G(v) = integral_0^v g of a function g of v = ln x, tabulated.
 
-    The table grows outward from v = ln x = 0, panel by panel, only as
-    far as the states asked for reach. Each panel holds the antiderivative
-    of the Chebyshev interpolant of q = 2 x drift / vol^2 in v at the 33
-    nodes of _quad's panel rule, computed as 2 (x / vol)(drift / vol). A
-    panel whose 33- and 17-node antiderivatives differ at a node by more
-    than 1e-8 of its integral of |q| is fitted again as four quarter-width
-    pieces, which must agree within 1e-7, or QuadratureError is raised.
-    B at the piece edges is the compensated sum of the piece integrals,
-    outward from v = 0 on each side, so B(1) = 0.
+    The table grows outward from v = 0, panel by panel, only as far as
+    the states asked for reach, and never past panel k_max. Each panel
+    holds the antiderivative of the Chebyshev interpolant of g at the 33
+    nodes of _quad's panel rule; sample(v) gives g at an (n, 33) array of
+    them. A panel whose 33- and 17-node antiderivatives differ at a node
+    by more than 1e-8 of its integral of |g| is fitted again as four
+    quarter-width pieces, which must agree within 1e-7, or QuadratureError
+    naming `what` is raised. Trailing degrees below `chop` of the largest
+    coefficient in every piece are dropped. G at the piece edges is the
+    compensated sum of the piece integrals, outward from v = 0 on each
+    side, so G(0) = 0.
     """
 
-    def __init__(self, spec: DiffusionSpec):
-        self._spec = spec
+    def __init__(self, sample: Callable, chop: float, what: str, k_max: float = math.inf):
+        self._sample, self._chop, self._what, self._k_max = sample, chop, what, k_max
         empty = np.empty(0)
-        self._table = _BTable(0, 0, empty, empty, np.empty((_DEGREE + 2, 0)),
-                              empty, empty, empty, empty)
-
-    def _q(self, v: np.ndarray) -> np.ndarray:
-        x = np.exp(v)
-        vol = self._spec.vol(x)
-        # vol ** 2 would overflow for a proportional vol beyond x ~ 1e154
-        return 2.0 * (x / vol) * (self._spec.drift(x) / vol)
+        self._table = _Table(0, 0, empty, empty, np.empty((_DEGREE + 2, 0)), empty,
+                             np.empty((1, 0)), empty, empty, empty)
 
     def _fit(self, lefts: np.ndarray, width: float, tol: float):
         """Series, integrals, fit gaps and the indices that fail tol, of
         the pieces [left, left + width]."""
         half = 0.5 * width
-        vals = np.empty((lefts.size, _NODES.size))
         with np.errstate(all="ignore"):
-            for lo in range(0, lefts.size, _BLOCK):
-                v = lefts[lo:lo + _BLOCK, None] + half * (_NODES + 1.0)
-                vals[lo:lo + _BLOCK] = self._q(v.ravel()).reshape(v.shape)
+            vals = self._sample(lefts[:, None] + half * (_NODES + 1.0))
             # both fits integrate the value at the middle node exactly (its
             # antiderivative is t + 1 = T_0 + T_1), so the rounding of the
-            # weights scales with q's variation across the piece, not with q
+            # weights scales with g's variation across the piece, not with g
             anti, gap_map = _cheb_maps()
             mid = vals[:, _DEGREE // 2, None]
             dev = vals - mid
@@ -241,7 +237,7 @@ class _ScaleExponent:
             if failed.size:
                 j = failed[0]
                 raise QuadratureError(
-                    f"scale exponent: 2 drift / vol^2 has no accurate panel fit on "
+                    f"{self._what} has no accurate panel fit on "
                     f"x in [{math.exp(sub[j]):.6g}, {math.exp(sub[j] + quarter):.6g}] "
                     f"(refined disagreement {gap[j]:.3e})")
             keep = np.ones(lefts.size, dtype=bool)
@@ -253,43 +249,60 @@ class _ScaleExponent:
                     (coefs[keep], sub_coefs), (integrals[keep], sub_integrals)))
         return lefts, widths, coefs.T, integrals
 
-    def _grow(self, k_lo: int, k_hi: int) -> _BTable:
+    def _grow(self, k_lo: int, k_hi: int) -> _Table:
         old = self._table
-        below = self._pieces(_PANEL_WIDTH * np.arange(k_lo, old.k_lo, dtype=float))
-        above = self._pieces(_PANEL_WIDTH * np.arange(old.k_hi, k_hi, dtype=float))
-        lefts, widths, coefs, integrals = (
-            np.concatenate((b, o, a), axis=-1) for b, o, a in zip(
-                below, (old.lefts, old.widths, old.coefs, old.integrals), above))
+        parts = [(old.lefts, old.widths, old.coefs, old.integrals)]
+        if k_lo < old.k_lo:
+            parts.insert(0, self._pieces(_PANEL_WIDTH * np.arange(k_lo, old.k_lo, dtype=float)))
+        if k_hi > old.k_hi:
+            parts.append(self._pieces(_PANEL_WIDTH * np.arange(old.k_hi, k_hi, dtype=float)))
+        lefts, widths, coefs, integrals = (np.concatenate(p, axis=-1) for p in zip(*parts))
         n_neg = int(np.searchsorted(lefts, 0.0))
         up = _compensated_cumsum(integrals[n_neg:])
         down = _compensated_cumsum(integrals[:n_neg][::-1])
-        b_sum, b_carry = (np.concatenate((-d[::-1], [0.0], u))[:lefts.size]
+        g_sum, g_carry = (np.concatenate((-d[::-1], [0.0], u))[:lefts.size]
                           for d, u in zip(down, up))
-        everywhere = np.arange(lefts.size)
-        f_left = _clenshaw(coefs, everywhere, np.full(lefts.size, -1.0))
-        table = _BTable(k_lo, k_hi, lefts, widths, coefs, integrals, b_sum, b_carry,
-                        f_left)
-        self._table = table
-        return table
+        size = np.abs(coefs)
+        above_chop = np.any(size > self._chop * size.max(axis=0), axis=1)
+        terms = coefs[:1 + np.max(np.flatnonzero(above_chop), initial=0)]
+        f_left = _clenshaw(terms, np.arange(lefts.size), np.full(lefts.size, -1.0))
+        self._table = _Table(k_lo, k_hi, lefts, widths, coefs, integrals, terms,
+                             g_sum, g_carry, f_left)
+        return self._table
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """B at finite log states v, a 1-d array."""
-        if v.size == 0:
-            return np.empty(0)
+    def __call__(self, v: np.ndarray, slope: bool = False):
+        """G at finite log states v, a 1-d array; with slope, (G, g)."""
         table = self._table
-        k_lo = math.floor(float(np.min(v)) / _PANEL_WIDTH)
-        k_hi = math.floor(float(np.max(v)) / _PANEL_WIDTH) + 1
-        if k_lo < table.k_lo or k_hi > table.k_hi:
-            table = self._grow(min(k_lo, table.k_lo), max(k_hi, table.k_hi))
+        if v.size:
+            k_lo = math.floor(float(np.min(v)) / _PANEL_WIDTH)
+            k_hi = min(math.floor(float(np.max(v)) / _PANEL_WIDTH) + 1, self._k_max)
+            if k_lo < table.k_lo or k_hi > table.k_hi:
+                table = self._grow(min(k_lo, table.k_lo), max(k_hi, table.k_hi))
         piece = np.searchsorted(table.lefts, v, side="right") - 1
         t = 2.0 * (v - table.lefts[piece]) / table.widths[piece] - 1.0
-        partial = _clenshaw(table.coefs, piece, t) - table.f_left[piece]
-        return table.b_sum[piece] + (table.b_carry[piece] + partial)
+        partial = _clenshaw(table.terms, piece, t) - table.f_left[piece]
+        g = table.g_sum[piece] + (table.g_carry[piece] + partial)
+        if not slope:
+            return g
+        slopes = np.polynomial.chebyshev.chebder(table.terms, axis=0)
+        return g, _clenshaw(slopes, piece, t) / (0.5 * table.widths[piece])
 
 
 @lru_cache(maxsize=_CUSTOM_CACHE_SIZE)
-def _scale_exponent(spec: DiffusionSpec) -> _ScaleExponent:
-    return _ScaleExponent(spec)
+def _scale_exponent(spec: DiffusionSpec) -> _PanelTable:
+    """B(v) = integral_0^v q of a CUSTOM model, with q = 2 x drift / vol^2
+    formed as 2 (x / vol)(drift / vol), so that vol^2 never overflows."""
+
+    def q(v: np.ndarray) -> np.ndarray:
+        out = np.empty(v.shape)
+        for lo in range(0, len(v), _BLOCK):
+            x = np.exp(v[lo:lo + _BLOCK].ravel())
+            vol = spec.vol(x)
+            out[lo:lo + _BLOCK] = (2.0 * (x / vol) * (spec.drift(x) / vol)).reshape(
+                -1, _NODES.size)
+        return out
+
+    return _PanelTable(q, 1e-15, "scale exponent: 2 drift / vol^2")
 
 
 def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:
@@ -420,13 +433,14 @@ class _RiccatiCore:
     """Numerically shot psi/phi pair for a CUSTOM model.
 
     Solves s' = s - s^2 + r(v) - q(v) s on v = ln x for s = (ln u)',
-    with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2, together with
-    w' = s for w = ln u. Each branch is one stiff LSODA shot given the
-    analytic Jacobian [[0, 1], [0, 1 - 2s - q]]: upward from below the
-    lower end of the span (increasing branch psi) and downward from
-    above its upper end (decreasing branch phi), each started on the
-    local root of s^2 - (1 - q) s - r = 0 that it tends to. Then
-    u = exp(w - w(0)), normalized to u(1) = 1.
+    with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2. Each branch is
+    one stiff LSODA shot given the analytic Jacobian 1 - 2s - q: upward
+    from below the lower end of the span (increasing branch psi) and
+    downward from above its upper end (decreasing branch phi), each
+    started on the local root of s^2 - (1 - q) s - r = 0 that it tends
+    to. Each branch keeps a _PanelTable of s, sampled from the shot's
+    dense output as states reach new panels, and u = exp(integral_0^v s),
+    so u(1) = 1. A re-shoot over a wider span starts new tables.
     """
 
     def __init__(self, spec: DiffusionSpec, rho: float):
@@ -447,22 +461,19 @@ class _RiccatiCore:
 
     def _rhs(self, v, y):
         q, r = self._coefs(v)
-        s = y[1]
-        return [s, s - s * s + r - q * s]
+        s = y[0]
+        return [s - s * s + r - q * s]
 
     def _jac(self, v, y):
         q, _ = self._coefs(v)
-        return [[0.0, 1.0], [0.0, 1.0 - 2.0 * y[1] - q]]
+        return [[1.0 - 2.0 * y[0] - q]]
 
     def _branch(self, start: float, end: float, upward: bool):
         q, r = self._coefs(start)
         disc = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
         s0 = 0.5 * ((1.0 - q) + disc if upward else (1.0 - q) - disc)
-        # an absolute error in w = ln u is a relative error in u: 1e-10
-        # keeps u as accurate as s allows, while the atol of s on w too
-        # makes LSODA fail on stiff models (logistic drift at rho = 0.6)
-        return solve_ivp(self._rhs, (start, end), [0.0, s0], method="LSODA",
-                         jac=self._jac, rtol=1e-12, atol=[1e-10, 1e-14],
+        return solve_ivp(self._rhs, (start, end), [s0], method="LSODA",
+                         jac=self._jac, rtol=1e-12, atol=1e-14,
                          dense_output=True)
 
     def _shoot(self, v_lo: float, v_hi: float) -> None:
@@ -478,16 +489,18 @@ class _RiccatiCore:
                 and np.all(np.isfinite(up.y)) and np.all(np.isfinite(down.y))):
             raise ConstructionError(failed)
         grid = np.linspace(v_lo, v_hi, 201)
-        if np.any(up.sol(grid)[1] < -1e-9):
+        if np.any(up.sol(grid)[0] < -1e-9):
             raise ConstructionError("increasing eigenfunction lost monotonicity")
-        if np.any(down.sol(grid)[1] > 1e-9):
+        if np.any(down.sol(grid)[0] > 1e-9):
             raise ConstructionError("decreasing eigenfunction lost monotonicity")
-        w_up, s_up = up.sol(0.0)
-        w_down, s_down = down.sol(0.0)
-        # each branch's dense solution and w(0) = ln u(1), which u is normalized by
-        self._branches = {"psi": (up.sol, float(w_up)), "phi": (down.sol, float(w_down))}
         # psi = phi = S' = 1 at x = 1, so the wronskian is psi'(1) - phi'(1)
-        self.wronskian = float(s_up - s_down)
+        self.wronskian = float(up.sol(0.0)[0] - down.sol(0.0)[0])
+        # samples of the dense output carry about 1e-14 of noise, so its
+        # series are chopped at 64 ulp
+        self._tables = {which: _PanelTable(
+            lambda v, sol=branch.sol: sol(v.ravel())[0].reshape(v.shape),
+            64.0 * np.finfo(float).eps, f"(ln {which})'", round(v_hi / _PANEL_WIDTH))
+            for which, branch in (("psi", up), ("phi", down))}
         self.v_lo, self.v_hi = v_lo, v_hi
 
     def _ensure(self, v_min: float, v_max: float) -> None:
@@ -503,12 +516,13 @@ class _RiccatiCore:
     def eval(self, x: np.ndarray, which: str, deriv: bool) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         _check_states(x)
-        v = np.log(x)
+        v = np.log(x).ravel()
         self._ensure(float(np.min(v)), float(np.max(v)))
-        sol, w0 = self._branches[which]
-        ws = sol(np.atleast_1d(v))
-        u = np.exp(ws[0] - w0)
-        out = u * ws[1] / np.atleast_1d(x) if deriv else u
+        if deriv:
+            w, s = self._tables[which](v, slope=True)
+            out = np.exp(w) * s / x.ravel()
+        else:
+            out = np.exp(self._tables[which](v))
         return out.reshape(np.shape(x)) if np.shape(x) else out[0]
 
 
@@ -538,8 +552,9 @@ def excessive_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     """Increasing/decreasing solutions of A u = rho u for this model.
 
     Results are cached per (spec, rho). CUSTOM bases, which hold two
-    dense ODE solutions each and whose specs are new with every new
-    callable, have a cache of their own of _CUSTOM_CACHE_SIZE entries.
+    ODE solutions and their panel tables each and whose specs are new
+    with every new callable, have a cache of their own of
+    _CUSTOM_CACHE_SIZE entries.
     Raises ConstructionError if a numeric basis cannot be built or
     loses monotonicity.
     """

@@ -244,7 +244,8 @@ def _threshold_and_residual(spec: DiffusionSpec, params: ProblemParams) -> tuple
     Newton step that leaves the bracket is replaced by bisection in v.
     The first Newton step below 1e-12 + 1e-13 x (brentq's tolerance)
     ends the search: it is taken, and F is evaluated at the root it
-    gives. A bisection step never ends the search.
+    gives, unless the step rounds to no change in x. A bisection step
+    never ends the search.
     """
     objective = _threshold_objective(spec, params)
     f, _ = _threshold_integrand(spec, params)
@@ -270,8 +271,8 @@ def _threshold_and_residual(spec: DiffusionSpec, params: ProblemParams) -> tuple
         slope = x * float(f(np.asarray([x]))[0])
         step = -fx / slope if slope > 0.0 else math.nan
         if abs(step) * x <= 1e-12 + 1e-13 * x:
-            x *= math.exp(step)
-            return x, objective(x)
+            root = x * math.exp(step)
+            return root, fx if root == x else objective(root)
         v = math.log(x) + step
         v_lo, v_hi = math.log(lo), math.log(hi)
         if not v_lo < v < v_hi:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import OdeSolution, quad
 
 from entrysolve import (
     ConstructionError,
@@ -24,7 +24,8 @@ from entrysolve import (
     speed_density,
     wronskian_check,
 )
-from entrysolve.diffusions import _CUSTOM_CACHE_SIZE, _RiccatiCore, _b_of_x, _custom_basis
+from entrysolve.diffusions import (_CUSTOM_CACHE_SIZE, _RiccatiCore, _b_of_x, _custom_basis,
+                                   _scale_exponent)
 
 ALPHA, BETA = 0.05, 0.25
 C_EXP = 2.0 * ALPHA / BETA ** 2  # exponent in the scale density, 1.6
@@ -309,6 +310,99 @@ class TestCustomBasis:
             for u in (got.psi, got.phi, got.psi_prime, got.phi_prime):
                 with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
                     u(np.array([1.0, bad]))
+
+
+def dense_integral(sol, v: np.ndarray) -> np.ndarray:
+    """integral_0^v of the LSODA dense output of s = (ln u)', for
+    ascending v: 8-node Gauss-Legendre on every piece between its steps,
+    exact for the output's polynomials of degree at most 12."""
+    edges = np.unique(np.concatenate((v, [0.0], sol.ts[(sol.ts > v[0]) & (sol.ts < v[-1])])))
+    t, w = np.polynomial.legendre.leggauss(8)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    parts = (sol((mid[:, None] + half[:, None] * t).ravel())[0].reshape(-1, 8) @ w) * half
+    cum = np.concatenate(([0.0], np.cumsum(parts)))
+    return cum[np.searchsorted(edges, v)] - cum[np.searchsorted(edges, 0.0)]
+
+
+TABLE_MODELS = {
+    "log_mean_reverting": (lambda x: 0.4 * x * (1.79 - np.log(x)), lambda x: 0.35 * x),
+    "gbm_as_custom": (lambda x: ALPHA * x, lambda x: BETA * x),
+}
+
+
+class TestBasisTables:
+    """psi and phi of a CUSTOM model from Chebyshev tables of s = (ln u)'
+    on half-unit panels of ln x, and ln u as its antiderivative from 0."""
+
+    @pytest.mark.parametrize("rho", [0.6, 1.1])
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_tables_match_the_dense_solution(self, name, rho, monkeypatch):
+        branches = []
+        branch = _RiccatiCore._branch
+
+        def kept(core, start, end, upward):
+            branches.append(branch(core, start, end, upward))
+            return branches[-1]
+
+        monkeypatch.setattr(_RiccatiCore, "_branch", kept)
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS[name]), rho)
+        v = np.linspace(-12.0, 12.0, 97)
+        x = np.exp(v)
+        for which, solution in zip(("psi", "phi"), branches):
+            s = solution.sol(v)[0]
+            u = np.exp(dense_integral(solution.sol, v))
+            np.testing.assert_allclose(core.eval(x, which, False), u, rtol=1e-10)
+            np.testing.assert_allclose(core.eval(x, which, True), u * s / x, rtol=1e-10)
+
+    def test_gbm_as_custom_tables_are_linear_and_exact(self, pair):
+        got, want = pair
+        x = np.geomspace(1e-5, 1e5, 81)
+        for which in ("psi", "phi", "psi_prime", "phi_prime"):
+            np.testing.assert_allclose(getattr(got, which)(x), getattr(want, which)(x),
+                                       rtol=1e-13)
+        spec = custom_diffusion(lambda x: ALPHA * x, lambda x: BETA * x)
+        core = _RiccatiCore(spec, 1.1)
+        core.eval(x, "psi", False)
+        _b_of_x(spec, x)
+        # ln u and B are linear in ln x: every higher degree is chopped
+        for table in (core._tables["psi"], _scale_exponent(spec)):
+            assert table._table.terms.shape[0] == 2
+
+    def test_warm_evaluation_makes_no_ode_call(self, monkeypatch):
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 0.6)
+        x = np.geomspace(0.05, 40.0, 50)
+        kinds = [(which, deriv) for which in ("psi", "phi") for deriv in (False, True)]
+        cold = [core.eval(x, *kind) for kind in kinds]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense output evaluated")
+
+        monkeypatch.setattr(OdeSolution, "__call__", refuse)
+        for kind, values in zip(kinds, cold):
+            np.testing.assert_array_equal(core.eval(x[5:-5], *kind), values[5:-5])
+
+    def test_upper_edge_reads_the_last_panel(self):
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 1.1)
+        edge = np.array([core.v_hi])
+        for which in ("psi", "phi"):
+            # ln u, since psi itself overflows there
+            assert np.isfinite(core._tables[which](edge, slope=True)).all()
+            # the increasing branch's shot ends there: nothing is sampled past it
+            assert core._tables[which]._table.lefts[-1] < core.v_hi
+
+    def test_reshoot_drops_the_old_tables(self):
+        spec = custom_diffusion(*TABLE_MODELS["log_mean_reverting"])
+        old, fresh = _RiccatiCore(spec, 1.1), _RiccatiCore(spec, 1.1)
+        x = np.concatenate((np.geomspace(0.1, 10.0, 25), [math.exp(31.5)]))
+        old.eval(x[:-1], "psi", False)
+        old.eval(x[:-1], "phi", True)
+        assert old.v_hi == 30.0
+        with np.errstate(over="ignore"):  # psi overflows at e^31.5
+            for which in ("psi", "phi"):
+                for deriv in (False, True):
+                    np.testing.assert_array_equal(old.eval(x, which, deriv),
+                                                  fresh.eval(x, which, deriv))
+        assert old.v_hi == fresh.v_hi == 33.0
 
 
 # the demo problem: rho_idle = 0.6, rho_active = 1.1

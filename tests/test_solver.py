@@ -6,6 +6,7 @@ numbers were produced by an independent 40-digit mpmath implementation
 of the defining integrals, not by this package.
 """
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -427,11 +428,13 @@ class TestEdgeProbabilities:
 
     def test_overflowing_tail_raises(self):
         # well posed (rho_idle = 0.1 > alpha), but the speed density
-        # x^3.04 overflows before the upward tail walk for c_i1 settles
+        # x^3.04 overflows before the upward tail walk for c_i1 settles;
+        # the error names it, and numpy warns of nothing on the way
         params = replace(PARAMS, p=1.0, h=power(1.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(QuadratureError, match="not finite"):
-            solve(gbm(0.095, BETA), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError, match="not finite"):
+                solve(gbm(0.095, BETA), params)
 
 
 class TestNormalizationInvariance:
