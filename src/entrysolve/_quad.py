@@ -5,32 +5,34 @@ decay like powers or exponentials of the state. Working on v = ln(x) with
 composite fixed-order panels equidistributes resolution across scales
 and keeps evaluation vectorized and deterministic.
 
-One panel rule does all the work, and the CUSTOM scale exponent table
-in diffusions uses it too: Clenshaw-Curtis on the 33 Chebyshev-Lobatto
-nodes of each panel, ends included, whose every second node carries the
-nested 17-node rule that estimates the error. One integrand call gives
-both sums for up to 15 panels, so the arrays the integrand builds stay
-small however many intervals are asked for.
+One panel rule does all the work: Clenshaw-Curtis on the 33
+Chebyshev-Lobatto nodes of each panel, ends included, with the nested
+17-node rule on every second node as the error estimate, at most 15
+panels per integrand call. A panel is summed by both rules, or fitted
+(the Chebyshev series of its interpolant's antiderivative), for
+fixed_panels' runs of touching intervals and the tables of diffusions.
 
-fixed_panels integrates finite intervals elementwise over arrays of
-endpoints, each on panels at most 0.5 wide. An interval whose 33- and
-17-node sums disagree beyond 1e-8 of its integral of |f| is redone once
-on panels a quarter as wide; one that still disagrees, a non-finite one
-included, raises QuadratureError naming its endpoints.
+fixed_panels integrates [a_i, b_i] on panels at most 0.5 wide in ln x:
+a run of touching intervals, b_i == a_(i+1), from one fit per panel of
+the run; any other interval from panels of its own, as is any over a
+panel whose fit fails. Panels that fail 1e-8 of their integral of |f|
+are redone a quarter as wide; failing 1e-7 then, a non-finite integral
+included, raises QuadratureError naming the interval.
 
-The two open-ended entry points share one walker, which integrates
-unit-width log windows of two panels each away from a finite endpoint,
-down toward 0 or up toward infinity, until two windows in a row add less
-than 1e-12 of the accumulated L1 mass. It raises QuadratureError when a
-window's integral is not finite, when 240 windows do not suffice, and,
-on the way up, when four windows in a row grow. When a hard truncation
-limit is supplied (numeric bases are only known on a finite working
-interval) the remaining tail is estimated by geometric extrapolation of
-the observed per-window decay.
+The open-ended entry points share one walker: unit-width log windows of
+two panels each, up to 7 per integrand call but taken one at a time,
+away from a finite endpoint toward 0 or infinity until two windows in a
+row add less than 1e-12 of the accumulated L1 mass. It raises
+QuadratureError when a window's integral is not finite, when 240
+windows do not suffice, and, on the way up, when four windows in a row
+grow. Given a hard truncation limit (numeric bases are only known on a
+finite working interval) the remaining tail is extrapolated
+geometrically from the per-window decay.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,6 +51,7 @@ _REL_TOL = 1e-12
 _MAX_WINDOWS = 240
 # panels per integrand call: 15 x 33 nodes bound the width of every array f sees
 _BLOCK = 15
+_EPS = np.finfo(float).eps
 
 
 def _antiderivative_map(n: int) -> np.ndarray:
@@ -69,6 +72,91 @@ _WEIGHTS = _antiderivative_map(_DEGREE).sum(axis=0)
 _NESTED_WEIGHTS = _antiderivative_map(_DEGREE // 2).sum(axis=0)
 
 
+@lru_cache(maxsize=1)
+def _cheb_maps() -> np.ndarray:
+    """The antiderivative map of the panel rule over the map to the gap
+    between its antiderivative and the nested rule's at the nodes.
+    Built on first use, not at import."""
+    anti = _antiderivative_map(_DEGREE)
+    gap = np.polynomial.chebyshev.chebvander(_NODES, _DEGREE + 1) @ anti
+    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_NODES, _DEGREE // 2 + 1)
+                    @ _antiderivative_map(_DEGREE // 2))
+    return np.vstack((anti, gap))
+
+
+def _clenshaw_slope(coefs: np.ndarray, piece: np.ndarray, t0: np.ndarray,
+                    t1: np.ndarray) -> np.ndarray:
+    """(S(t1) - S(t0)) / (t1 - t0), S'(t0) if t1 = t0, for S = sum_k
+    coefs[k, piece] T_k elementwise, accurate however close t1 is to t0:
+    Clenshaw's recurrence for 2 b_k at t0 with its divided differences
+    d_k = 2 t1 d_(k+1) + 2 b_(k+1)(t0) - d_(k+2)."""
+    twice = 2.0 * coefs[:, piece]
+    t0, t1 = 2.0 * t0, 2.0 * t1
+    b1 = b2 = d1 = d2 = np.zeros_like(t0)
+    for c in twice[:0:-1]:
+        b1, b2, d1, d2 = c + t0 * b1 - b2, b1, t1 * d1 + b1 - d2, d1
+    return 0.5 * (b1 + t1 * d1) - d2
+
+
+def _log_sampler(fx: Callable) -> Callable:
+    """sample(v) = fx(e^v) on an (n, 33) array of log nodes, with each
+    call of fx seeing at most _BLOCK rows."""
+    def sample(v: np.ndarray) -> np.ndarray:
+        out = np.empty(v.shape)
+        for lo in range(0, len(v), _BLOCK):
+            x = np.exp(v[lo:lo + _BLOCK].ravel())
+            out[lo:lo + _BLOCK] = np.reshape(fx(x), (-1, _NODES.size))
+        return out
+
+    return sample
+
+
+def _fit(sample: Callable, lefts: np.ndarray, widths: np.ndarray, tol: float):
+    """Antiderivative series (one row per piece), integrals, fit gaps and
+    the indices that fail tol, of g = sample(v) on the pieces
+    [left, left + width] of v."""
+    half = 0.5 * widths
+    with np.errstate(all="ignore"):
+        vals = sample(lefts[:, None] + half[:, None] * (_NODES + 1.0))
+        # both fits are exact for the parabola m + beta t + gamma t^2 through
+        # the middle and end nodes, so rounding scales with g less it
+        mid = vals[:, _DEGREE // 2]
+        beta = 0.5 * (vals[:, -1] - vals[:, 0])
+        gamma = 0.5 * (vals[:, -1] + vals[:, 0]) - mid
+        dev = vals - (mid[:, None] + (beta[:, None] + gamma[:, None] * _NODES) * _NODES)
+        # einsum: BLAS sums depend on a row's place, a fit on its neighbours
+        coefs, gap = np.hsplit(np.einsum("ij,kj->ik", dev, _cheb_maps()), [_DEGREE + 2])
+        gap = np.max(np.abs(gap), axis=1)
+        mass = np.einsum("ij,j->i", np.abs(vals), _WEIGHTS)
+        bad = np.flatnonzero(~(gap <= tol * np.maximum(mass, 1e-300)))
+        # the parabola's antiderivative from -1, as t^3 = (3 T_1 + T_3) / 4
+        coefs[:, :4] += np.stack((mid - 0.25 * beta + gamma / 3.0, mid + 0.25 * gamma,
+                                  0.25 * beta, gamma / 12.0), axis=1)
+        integrals = np.einsum("ij,j->i", dev, _WEIGHTS) + 2.0 * (mid + gamma / 3.0)
+    return half[:, None] * coefs, half * integrals, gap, bad
+
+
+def _pieces(sample: Callable, lefts: np.ndarray, widths: np.ndarray) -> tuple:
+    """Lefts, widths, series (one column each) and integrals of the fitted
+    pieces of the panels [left, left + width], each failing 1e-8 replaced
+    in place by four quarter-width ones at 1e-7; those still failing and
+    their gaps."""
+    coefs, integrals, _, redo = _fit(sample, lefts, widths, 1e-8)
+    failed, gaps = redo, np.empty(0)
+    if redo.size:
+        quarter = np.repeat(0.25 * widths[redo], 4)
+        sub = (lefts[redo, None] + quarter.reshape(-1, 4) * np.arange(4.0)).ravel()
+        sub_coefs, sub_integrals, sub_gaps, sub_failed = _fit(sample, sub, quarter, 1e-7)
+        counts = np.ones(lefts.size, dtype=np.intp)
+        counts[redo] = 4
+        at = ((np.cumsum(counts) - 4)[redo, None] + np.arange(4)).ravel()
+        lefts, widths, coefs, integrals = (
+            np.repeat(a, counts, axis=0) for a in (lefts, widths, coefs, integrals))
+        lefts[at], widths[at], coefs[at], integrals[at] = sub, quarter, sub_coefs, sub_integrals
+        failed, gaps = at[sub_failed], sub_gaps[sub_failed]
+    return lefts, widths, coefs.T, integrals, failed, gaps
+
+
 def _panels(va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
     """Cut each log interval [va_i, vb_i] into the fewest equal panels
     at most `width` wide; return every panel's interval index, midpoint
@@ -84,19 +172,11 @@ def _panels(va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
 def _panel_sums(f: Callable, mid: np.ndarray, half: np.ndarray) -> tuple:
     """Integrals of f(x) dx over each panel [mid - half, mid + half] in
     v = ln x by the 33- and the nested 17-node rule, and of |f(x)| dx by
-    the 33-node rule. Each call of f sees at most _BLOCK panels."""
-    hi = np.empty(mid.size)
-    lo = np.empty(mid.size)
-    mass = np.empty(mid.size)
-    for start in range(0, mid.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        x = np.exp((mid[block, None] + half[block, None] * _NODES).ravel())
-        vals = np.asarray(f(x), dtype=float) * x  # jacobian dx = x dv
-        vals = vals.reshape(-1, _NODES.size) * half[block, None]
-        hi[block] = (vals * _WEIGHTS).sum(axis=1)
-        lo[block] = (vals[:, ::2] * _NESTED_WEIGHTS).sum(axis=1)
-        mass[block] = (np.abs(vals) * _WEIGHTS).sum(axis=1)
-    return hi, lo, mass
+    the 33-node rule."""
+    sample = _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x)  # dx = x dv
+    vals = sample(mid[:, None] + half[:, None] * _NODES) * half[:, None]
+    return ((vals * _WEIGHTS).sum(axis=1), (vals[:, ::2] * _NESTED_WEIGHTS).sum(axis=1),
+            (np.abs(vals) * _WEIGHTS).sum(axis=1))
 
 
 def _log_panels(f: Callable, va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
@@ -119,28 +199,10 @@ def _unconverged(hi: np.ndarray, lo: np.ndarray, mass: np.ndarray, tol: float) -
     return np.flatnonzero(~(np.abs(hi - lo) <= tol * np.maximum(mass, 1e-300)))
 
 
-# a non-finite sum raises QuadratureError, so numpy's overflow warnings
-# from f would only repeat it (here and in _walk)
-@np.errstate(over="ignore", invalid="ignore")
-def fixed_panels(f: Callable, a, b):
-    """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
-    over arrays of endpoints; scalar endpoints give a float.
-
-    Each interval is cut into panels at most 0.5 wide in ln x, each
-    integrated by 33-node Clenshaw-Curtis with the panel ends as nodes,
-    so f is evaluated at a and b (as exp(ln a), exp(ln b)). The nested
-    17-node rule estimates the error; disagreement beyond 1e-8 of the
-    integral of |f| triggers one refinement, and persistent disagreement
-    (a non-finite integral included) raises QuadratureError naming the
-    interval.
-    """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    bad = ~((0.0 < a) & (a <= b) & (b < math.inf))
-    if bad.any():
-        j = np.argmax(bad)
-        raise ValueError(f"need 0 < a <= b < inf, got [{a.flat[j]}, {b.flat[j]}]")
-    va, vb = np.log(a.ravel()), np.log(b.ravel())
+def _interval_sums(f: Callable, a: np.ndarray, b: np.ndarray, va: np.ndarray,
+                   vb: np.ndarray) -> np.ndarray:
+    """Integrals of f over [a_i, b_i] = [e^va_i, e^vb_i], each interval on
+    panels of its own."""
     hi, lo, mass = _log_panels(f, va, vb, _PANEL_WIDTH)
     redo = _unconverged(hi, lo, mass, 1e-8)
     if redo.size:
@@ -149,10 +211,75 @@ def fixed_panels(f: Callable, a, b):
         if failed.size:
             j = failed[0]
             raise QuadratureError(
-                f"panel integral on [{a.flat[redo[j]]}, {b.flat[redo[j]]}] failed to "
+                f"panel integral on [{a[redo[j]]}, {b[redo[j]]}] failed to "
                 f"converge (refined disagreement {abs(float(hi2[j]) - float(lo2[j])):.3e})")
         hi[redo] = hi2
-    return float(hi[0]) if scalar else hi.reshape(a.shape)
+    return hi
+
+
+def _run_sums(f: Callable, va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f over the touching [va_i, vb_i] of one run from one fit
+    per panel, and a mask of those over a failed piece, not to be used."""
+    n = math.ceil((vb[-1] - va[0]) / _PANEL_WIDTH)
+    width = (vb[-1] - va[0]) / n
+    lefts, widths, coefs, _, failed, _ = _pieces(
+        _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x),
+        va[0] + width * np.arange(n), np.full(n, width))
+    # to the highest degree any piece needs: k c_k is about half the
+    # interpolant's coefficient a_(k-1), dropped below rounding
+    size = np.abs(coefs) * np.arange(len(coefs))[:, None]
+    coefs = coefs[:1 + np.max(np.flatnonzero(np.any(size > _EPS * size.max(axis=0), axis=1)),
+                              initial=0)]
+    # pieces end where the next starts, tiling the run; an interval takes
+    # its own ends in its first and last piece, the piece's edges between
+    rights = np.append(lefts[1:], vb[-1])
+    head = np.searchsorted(lefts, va, side="right") - 1
+    tail = np.searchsorted(lefts, vb, side="left") - 1
+    n_seg = tail - head + 1
+    seg = np.repeat(np.arange(va.size), n_seg)
+    piece = head[seg] + np.arange(seg.size) - (np.cumsum(n_seg) - n_seg)[seg]
+    lo = np.where(piece == head[seg], va[seg], lefts[piece])
+    hi = np.where(piece == tail[seg], vb[seg], rights[piece])
+    half = 0.5 * widths[piece]
+    slope = _clenshaw_slope(coefs, piece, (lo - lefts[piece]) / half - 1.0,
+                            (hi - lefts[piece]) / half - 1.0)
+    failed_before = np.bincount(failed + 1, minlength=lefts.size + 1).cumsum()
+    return (np.bincount(seg, (hi - lo) / half * slope, minlength=va.size),
+            failed_before[tail + 1] > failed_before[head])
+
+
+# a non-finite sum raises QuadratureError, so numpy's overflow warnings
+# from f would only repeat it (here and in _walk)
+@np.errstate(over="ignore", invalid="ignore")
+def fixed_panels(f: Callable, a, b):
+    """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
+    over arrays of endpoints; scalar endpoints give a float.
+
+    A run of touching intervals, b[i] == a[i + 1], is cut into panels at
+    most 0.5 wide in ln x, each fitted once with its ends as nodes, so f
+    is evaluated at each run's ends (as exp(ln a), exp(ln b)); any other
+    interval gets panels of its own, with f evaluated at a and b. The
+    nested 17-node rule estimates the error (see the module docstring).
+    """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bad = ~((0.0 < a) & (a <= b) & (b < math.inf))
+    if bad.any():
+        j = np.argmax(bad)
+        raise ValueError(f"need 0 < a <= b < inf, got [{a.flat[j]}, {b.flat[j]}]")
+    a, b = a.ravel(), b.ravel()
+    va, vb = np.log(a), np.log(b)
+    out = np.empty(a.size)
+    alone = np.ones(a.size, dtype=bool)
+    if a.size > 1:
+        starts = np.flatnonzero(np.append(True, a[1:] != b[:-1]))
+        for i, j in zip(starts, np.append(starts[1:], a.size)):
+            if j - i > 1 and vb[j - 1] > va[i]:
+                out[i:j], alone[i:j] = _run_sums(f, va[i:j], vb[i:j])
+    alone = np.flatnonzero(alone)
+    if alone.size:
+        out[alone] = _interval_sums(f, a[alone], b[alone], va[alone], vb[alone])
+    return float(out[0]) if scalar else out.reshape(np.shape(bad))
 
 
 def _tail_estimate(last: float, prev: float, where: str) -> float:
@@ -172,46 +299,56 @@ def _tail_estimate(last: float, prev: float, where: str) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def _walk(f: Callable, start: float, limit: float | None, up: bool) -> float:
     """Integrate f from start toward infinity (up) or toward 0, one log
-    window at a time; limit, when given, truncates the walk there."""
-    total = 0.0
-    total_abs = 0.0
-    prev_w = math.inf
-    calm = 0
-    grow = 0
-    near = start
-    for _ in range(_MAX_WINDOWS):
-        far = near * math.exp(_WINDOW if up else -_WINDOW)
-        truncated = limit is not None and (far >= limit if up else far <= limit)
-        if truncated:
-            far = min(far, limit) if up else max(far, limit)
-        a, b = (near, far) if up else (far, near)
-        va, vb = math.log(a), math.log(b)
-        x = np.exp(va + (vb - va) * _WINDOW_NODES)
-        wk = float((np.asarray(f(x), dtype=float) * x * _WINDOW_WEIGHTS).sum()) * (vb - va)
-        if not math.isfinite(wk):
-            raise QuadratureError(f"integrand is not finite on [{a:.3g}, {b:.3g}]")
-        total += wk
-        total_abs += abs(wk)
-        if truncated:
-            return total + _tail_estimate(wk, prev_w, "upper" if up else "lower")
-        if abs(wk) <= _REL_TOL * max(total_abs, 1e-300):
-            calm += 1
-            if calm >= 2:
+    window at a time, limit truncating the walk; windows are evaluated
+    _BLOCK // 2 to an integrand call, those past the stop never seen."""
+    total = total_abs = 0.0
+    prev_w, calm, grow, taken, near = math.inf, 0, 0, 0, start
+    step = math.exp(_WINDOW if up else -_WINDOW)
+    while taken < _MAX_WINDOWS:
+        # up to the limit (then the last end) or the floor; a window that
+        # overflows only on its own, as a walk of one window per call would
+        ends = [near]
+        while len(ends) <= min(_BLOCK // 2, _MAX_WINDOWS - taken):
+            far = ends[-1] * step
+            if limit is not None and (far >= limit if up else far <= limit):
+                far = limit
+            elif far == math.inf and len(ends) > 1:
+                break
+            ends.append(far)
+            if far in (limit, math.inf) or (not up and far <= _X_FLOOR):
+                break
+        fars = ends[1:]
+        lo, hi = (ends[:-1], fars) if up else (fars, ends[:-1])
+        va = np.array([math.log(e) for e in lo])
+        span = np.array([math.log(e) for e in hi]) - va
+        x = np.exp(va[:, None] + span[:, None] * _WINDOW_NODES)
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        sums = (vals * x * _WINDOW_WEIGHTS).sum(axis=1)
+        for j, far in enumerate(fars):
+            wk = float(sums[j]) * float(span[j])
+            if not math.isfinite(wk):
+                raise QuadratureError(f"integrand is not finite on [{lo[j]:.3g}, {hi[j]:.3g}]")
+            total += wk
+            total_abs += abs(wk)
+            if far == limit:
+                return total + _tail_estimate(wk, prev_w, "upper" if up else "lower")
+            if abs(wk) <= _REL_TOL * max(total_abs, 1e-300):
+                calm += 1
+                if calm >= 2:
+                    return total
+            else:
+                calm = 0
+            if up and abs(wk) > abs(prev_w) and math.isfinite(prev_w):
+                grow += 1
+                if grow >= 4:
+                    raise QuadratureError(
+                        f"integrand keeps growing toward infinity above {start}; "
+                        "the payoff is not integrable against this resolvent")
+            else:
+                grow = 0
+            prev_w, near, taken = wk, far, taken + 1
+            if not up and near <= _X_FLOOR:
                 return total
-        else:
-            calm = 0
-        if up and abs(wk) > abs(prev_w) and math.isfinite(prev_w):
-            grow += 1
-            if grow >= 4:
-                raise QuadratureError(
-                    f"integrand keeps growing toward infinity above {start}; "
-                    "the payoff is not integrable against this resolvent")
-        else:
-            grow = 0
-        prev_w = wk
-        near = far
-        if not up and near <= _X_FLOOR:
-            return total
     toward, side = ("infinity", "above") if up else ("the lower boundary", "below")
     raise QuadratureError(
         f"integral toward {toward} did not converge within {_MAX_WINDOWS} "

@@ -17,10 +17,10 @@ Three kinds are supported:
     |ln x| <= 30, from the end where it vanishes. One table type
     (_PanelTable) then serves both ln u and the exponent B of the scale
     and speed densities, as antiderivatives from x = 1 of s and of
-    2 x drift / vol^2: Chebyshev fits on the nodes, weights and half-unit
-    panels of ln x of _quad's Clenshaw-Curtis rule, grown outward as far
-    as the states asked for reach and chopped to the degrees above
-    rounding, so later calls need no ODE solution, drift or vol.
+    2 x drift / vol^2: _quad's Chebyshev fits on half-unit panels of
+    ln x, grown outward as far as the states asked for reach, each piece
+    chopped to its own degrees above rounding, so later calls need no
+    ODE solution, drift or vol.
 """
 from __future__ import annotations
 
@@ -33,8 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._quad import (_BLOCK, _DEGREE, _NODES, _PANEL_WIDTH, _WEIGHTS,
-                    _antiderivative_map)
+from ._quad import _DEGREE, _PANEL_WIDTH, _clenshaw_slope, _log_sampler, _pieces
 from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
@@ -141,35 +140,14 @@ def _compensated_cumsum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.cumsum((prev - (s - t_kept)) + (t - t_kept))
 
 
-@lru_cache(maxsize=1)
-def _cheb_maps() -> tuple[np.ndarray, np.ndarray]:
-    """The antiderivative map of _quad's panel rule, and the map to the
-    gap between its antiderivative and the nested rule's at the nodes.
-    Built on first use, so that closed-form models never call BLAS."""
-    anti = _antiderivative_map(_DEGREE)
-    gap = np.polynomial.chebyshev.chebvander(_NODES, _DEGREE + 1) @ anti
-    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_NODES, _DEGREE // 2 + 1)
-                    @ _antiderivative_map(_DEGREE // 2))
-    return anti, gap
-
-
-def _clenshaw(coefs: np.ndarray, piece: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum of coefs[k, piece] T_k(t), elementwise; coefs has one row per degree."""
-    t2 = 2.0 * t
-    b1 = b2 = np.zeros_like(t)
-    for c in coefs[:0:-1]:
-        b1, b2 = c[piece] + t2 * b1 - b2, b1
-    return coefs[0][piece] + t * b1 - b2
-
-
 @dataclass(frozen=True)
 class _Table:
     """Pieces of v = ln x covering the coarse panels k_lo <= k < k_hi,
     ascending: left edges, widths, antiderivative series of g in
     t in [-1, 1] (one row per degree) and integrals, kept whole for
-    growth; then the series chopped to the degrees evaluated, G at the
-    left edges as a compensated sum g_sum + g_carry, and each chopped
-    series' value at t = -1."""
+    growth; then each piece's series with the degrees above its own chop
+    zeroed, cut to the highest degree any piece keeps, the degrees kept,
+    and G at the left edges as a compensated sum g_sum + g_carry."""
 
     k_lo: int
     k_hi: int
@@ -178,84 +156,50 @@ class _Table:
     coefs: np.ndarray
     integrals: np.ndarray
     terms: np.ndarray
+    degrees: np.ndarray
     g_sum: np.ndarray
     g_carry: np.ndarray
-    f_left: np.ndarray
 
 
 class _PanelTable:
     """G(v) = integral_0^v g of a function g of v = ln x, tabulated.
 
-    The table grows outward from v = 0, panel by panel, only as far as
-    the states asked for reach, and never past panel k_max. Each panel
-    holds the antiderivative of the Chebyshev interpolant of g at the 33
-    nodes of _quad's panel rule; sample(v) gives g at an (n, 33) array of
-    them. A panel whose 33- and 17-node antiderivatives differ at a node
-    by more than 1e-8 of its integral of |g| is fitted again as four
-    quarter-width pieces, which must agree within 1e-7, or QuadratureError
-    naming `what` is raised. Trailing degrees below `chop` of the largest
-    coefficient in every piece are dropped. G at the piece edges is the
-    compensated sum of the piece integrals, outward from v = 0 on each
-    side, so G(0) = 0.
+    The table grows outward from v = 0, panel by panel, as far as the
+    states asked for reach and never past panel k_max, with _quad's fits
+    of g = sample(v) on (n, 33) arrays of panel nodes; a piece no fit
+    accepts raises QuadratureError naming `what`. Each piece drops its
+    trailing degrees below `chop` of its largest coefficient, so a value
+    does not depend on how far the table has grown. G at the piece edges
+    is the compensated sum of the piece integrals, outward from v = 0 on
+    each side, so G(0) = 0.
     """
 
     def __init__(self, sample: Callable, chop: float, what: str, k_max: float = math.inf):
         self._sample, self._chop, self._what, self._k_max = sample, chop, what, k_max
         empty = np.empty(0)
         self._table = _Table(0, 0, empty, empty, np.empty((_DEGREE + 2, 0)), empty,
-                             np.empty((1, 0)), empty, empty, empty)
+                             np.empty((1, 0)), np.empty(0, dtype=np.intp), empty, empty)
 
-    def _fit(self, lefts: np.ndarray, width: float, tol: float):
-        """Series, integrals, fit gaps and the indices that fail tol, of
-        the pieces [left, left + width]."""
-        half = 0.5 * width
-        with np.errstate(all="ignore"):
-            vals = self._sample(lefts[:, None] + half * (_NODES + 1.0))
-            # both fits integrate the value at the middle node exactly (its
-            # antiderivative is t + 1 = T_0 + T_1), so the rounding of the
-            # weights scales with g's variation across the piece, not with g
-            anti, gap_map = _cheb_maps()
-            mid = vals[:, _DEGREE // 2, None]
-            dev = vals - mid
-            gap = np.max(np.abs(dev @ gap_map.T), axis=1)
-            mass = np.abs(vals) @ _WEIGHTS
-            bad = np.flatnonzero(~(gap <= tol * np.maximum(mass, 1e-300)))
-            coefs = dev @ anti.T
-            coefs[:, :2] += mid
-            integrals = dev @ _WEIGHTS + 2.0 * mid[:, 0]
-        return half * coefs, half * integrals, gap, bad
-
-    def _pieces(self, lefts: np.ndarray):
-        """Fitted pieces of the coarse panels at `lefts`, each unconverged
-        panel replaced by four quarter-width ones."""
-        coefs, integrals, _, redo = self._fit(lefts, _PANEL_WIDTH, 1e-8)
-        widths = np.full(lefts.size, _PANEL_WIDTH)
-        if redo.size:
-            quarter = _PANEL_WIDTH / 4.0
-            sub = (lefts[redo, None] + quarter * np.arange(4.0)).ravel()
-            sub_coefs, sub_integrals, gap, failed = self._fit(sub, quarter, 1e-7)
-            if failed.size:
-                j = failed[0]
-                raise QuadratureError(
-                    f"{self._what} has no accurate panel fit on "
-                    f"x in [{math.exp(sub[j]):.6g}, {math.exp(sub[j] + quarter):.6g}] "
-                    f"(refined disagreement {gap[j]:.3e})")
-            keep = np.ones(lefts.size, dtype=bool)
-            keep[redo] = False
-            order = np.argsort(np.concatenate((lefts[keep], sub)))
-            lefts, widths, coefs, integrals = (
-                np.concatenate(parts)[order] for parts in (
-                    (lefts[keep], sub), (widths[keep], np.full(sub.size, quarter)),
-                    (coefs[keep], sub_coefs), (integrals[keep], sub_integrals)))
-        return lefts, widths, coefs.T, integrals
+    def _fitted(self, k_lo: int, k_hi: int) -> tuple:
+        """Fitted pieces of the coarse panels k_lo <= k < k_hi."""
+        lefts = _PANEL_WIDTH * np.arange(k_lo, k_hi, dtype=float)
+        lefts, widths, coefs, integrals, failed, gaps = _pieces(
+            self._sample, lefts, np.full(lefts.size, _PANEL_WIDTH))
+        if failed.size:
+            j = failed[0]
+            raise QuadratureError(
+                f"{self._what} has no accurate panel fit on "
+                f"x in [{math.exp(lefts[j]):.6g}, {math.exp(lefts[j] + widths[j]):.6g}] "
+                f"(refined disagreement {gaps[0]:.3e})")
+        return lefts, widths, coefs, integrals
 
     def _grow(self, k_lo: int, k_hi: int) -> _Table:
         old = self._table
         parts = [(old.lefts, old.widths, old.coefs, old.integrals)]
         if k_lo < old.k_lo:
-            parts.insert(0, self._pieces(_PANEL_WIDTH * np.arange(k_lo, old.k_lo, dtype=float)))
+            parts.insert(0, self._fitted(k_lo, old.k_lo))
         if k_hi > old.k_hi:
-            parts.append(self._pieces(_PANEL_WIDTH * np.arange(old.k_hi, k_hi, dtype=float)))
+            parts.append(self._fitted(old.k_hi, k_hi))
         lefts, widths, coefs, integrals = (np.concatenate(p, axis=-1) for p in zip(*parts))
         n_neg = int(np.searchsorted(lefts, 0.0))
         up = _compensated_cumsum(integrals[n_neg:])
@@ -263,11 +207,11 @@ class _PanelTable:
         g_sum, g_carry = (np.concatenate((-d[::-1], [0.0], u))[:lefts.size]
                           for d, u in zip(down, up))
         size = np.abs(coefs)
-        above_chop = np.any(size > self._chop * size.max(axis=0), axis=1)
-        terms = coefs[:1 + np.max(np.flatnonzero(above_chop), initial=0)]
-        f_left = _clenshaw(terms, np.arange(lefts.size), np.full(lefts.size, -1.0))
-        self._table = _Table(k_lo, k_hi, lefts, widths, coefs, integrals, terms,
-                             g_sum, g_carry, f_left)
+        above = size > self._chop * size.max(axis=0)
+        degrees = np.where(above.any(axis=0), len(coefs) - 1 - np.argmax(above[::-1], axis=0), 0)
+        terms = np.where(np.arange(len(coefs))[:, None] <= degrees, coefs, 0.0)
+        self._table = _Table(k_lo, k_hi, lefts, widths, coefs, integrals,
+                             terms[:1 + degrees.max(initial=0)], degrees, g_sum, g_carry)
         return self._table
 
     def __call__(self, v: np.ndarray, slope: bool = False):
@@ -280,12 +224,13 @@ class _PanelTable:
                 table = self._grow(min(k_lo, table.k_lo), max(k_hi, table.k_hi))
         piece = np.searchsorted(table.lefts, v, side="right") - 1
         t = 2.0 * (v - table.lefts[piece]) / table.widths[piece] - 1.0
-        partial = _clenshaw(table.terms, piece, t) - table.f_left[piece]
-        g = table.g_sum[piece] + (table.g_carry[piece] + partial)
+        # the other pieces' degrees above this are zeros, which add nothing
+        terms = table.terms[:1 + table.degrees[piece].max(initial=0)]
+        g = table.g_sum[piece] + (table.g_carry[piece] + (t + 1.0) * _clenshaw_slope(
+            terms, piece, np.full_like(t, -1.0), t))
         if not slope:
             return g
-        slopes = np.polynomial.chebyshev.chebder(table.terms, axis=0)
-        return g, _clenshaw(slopes, piece, t) / (0.5 * table.widths[piece])
+        return g, _clenshaw_slope(terms, piece, t, t) / (0.5 * table.widths[piece])
 
 
 @lru_cache(maxsize=_CUSTOM_CACHE_SIZE)
@@ -293,16 +238,11 @@ def _scale_exponent(spec: DiffusionSpec) -> _PanelTable:
     """B(v) = integral_0^v q of a CUSTOM model, with q = 2 x drift / vol^2
     formed as 2 (x / vol)(drift / vol), so that vol^2 never overflows."""
 
-    def q(v: np.ndarray) -> np.ndarray:
-        out = np.empty(v.shape)
-        for lo in range(0, len(v), _BLOCK):
-            x = np.exp(v[lo:lo + _BLOCK].ravel())
-            vol = spec.vol(x)
-            out[lo:lo + _BLOCK] = (2.0 * (x / vol) * (spec.drift(x) / vol)).reshape(
-                -1, _NODES.size)
-        return out
+    def q(x: np.ndarray) -> np.ndarray:
+        vol = spec.vol(x)
+        return 2.0 * (x / vol) * (spec.drift(x) / vol)
 
-    return _PanelTable(q, 1e-15, "scale exponent: 2 drift / vol^2")
+    return _PanelTable(_log_sampler(q), 1e-15, "scale exponent: 2 drift / vol^2")
 
 
 def _b_of_x(spec: DiffusionSpec, x: np.ndarray) -> np.ndarray:

@@ -65,9 +65,9 @@ def resolvent_on_grid(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
                       xs) -> tuple[np.ndarray, np.ndarray]:
     """(R_rho h) and its derivative on an ascending positive grid.
 
-    One tail walk per end, plus one elementwise panel sweep per branch
-    over all grid intervals, accumulated from each end with a cumulative
-    sum; the cost is O(grid) rather than O(grid^2).
+    One tail walk per end, plus one panel fit per branch over the grid's
+    span, whose interval integrals are accumulated from each end with a
+    cumulative sum; the cost is O(grid) rather than O(grid^2).
 
     Returns:
         (values, primes) as float arrays aligned with xs.

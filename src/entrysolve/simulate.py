@@ -279,6 +279,11 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
         t_tar = np.minimum(next_jump, t1k)
         move = t_tar > t_cur
         if not move.all():
+            # (k - 1) dt + dt can round below k dt: a lane whose next
+            # jump fell in between takes it now, after a move of length 0
+            due = next_jump <= t_cur
+            next_jump[due] = t_tar[due] = t_cur
+            move |= due
             sel = np.flatnonzero(move)
             t_tar = t_tar[sel]
         gone = []

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from entrysolve import (
+    ProblemParams,
     QuadratureError,
     excessive_basis,
     gbm,
@@ -26,11 +27,13 @@ from entrysolve import (
     resolvent_equation_check,
     resolvent_on_grid,
     resolvent_prime,
+    solve,
     speed_density,
 )
 from entrysolve import custom_diffusion
+from entrysolve import _quad
 from entrysolve._quad import fixed_panels, integrate_to_inf, integrate_to_zero
-from entrysolve.resolvent import _resolvent_values
+from entrysolve.resolvent import _integrand, _resolvent_values
 
 ALPHA, BETA = 0.05, 0.25
 SPEC = gbm(ALPHA, BETA)
@@ -272,6 +275,182 @@ class TestPanelRule:
             logs.clear()
             integrate_to_zero(lambda x: f(x) * x, lo, limit=math.exp(-30.0))
             assert min(v.min() for v in logs) == -30.0
+
+
+class TestRuns:
+    """Touching intervals, b[i] == a[i + 1], integrated from one fit per
+    panel of their run, each interval inside the panels it overlaps."""
+
+    @staticmethod
+    def powers(s, a, b):
+        # integral of x^(s - 1) over [a, b], without cancellation, on the
+        # same log-width as the quadrature
+        return a ** s * np.expm1(s * (np.log(b) - np.log(a))) / s
+
+    @pytest.mark.parametrize("s", [-3.2, -0.5, 0.7, 2.9])
+    def test_powers(self, s):
+        # a run across panel edges with intervals of every width from
+        # under 1e-10 in ln x to two panels, and a 2000-point run
+        rng = np.random.default_rng(7)
+        steps = np.concatenate((rng.uniform(0.01, 1.0, 12), [3e-11, 5e-14, 0.2],
+                                np.full(3, 1e-11), [0.7]))
+        for xs in (0.3 * np.exp(np.cumsum(np.append(0.0, rng.permutation(steps)))),
+                   np.geomspace(0.05, 50.0, 2000)):
+            got = fixed_panels(lambda x: x ** (s - 1.0), xs[:-1], xs[1:])
+            np.testing.assert_allclose(got, self.powers(s, xs[:-1], xs[1:]), rtol=1e-14)
+
+    def test_mixed_runs_and_single_intervals(self):
+        # two runs, the second overlapping the first, two lone intervals
+        # and an empty one: each lone integral as if asked for alone
+        a = np.array([1.0, 1.5, 2.5, 0.7, 1.2, 9.0, 3.0, 3.5])
+        b = np.array([1.5, 2.5, 4.0, 0.9, 1.2, 9.5, 3.5, 7.0])
+        got = fixed_panels(lambda x: 1.0 / x, a, b)
+        np.testing.assert_allclose(got, np.log(b / a), rtol=1e-14, atol=0.0)
+        assert got[4] == 0.0
+        for i in (3, 5):
+            assert got[i] == fixed_panels(lambda x: 1.0 / x, a[i], b[i])
+
+    def test_calls_cover_the_run_not_each_interval(self):
+        widths = []
+
+        def f(x):
+            widths.append(len(x))
+            return 1.0 / x
+
+        xs = np.geomspace(1.0, np.e, 201)
+        np.testing.assert_allclose(fixed_panels(f, xs[:-1], xs[1:]),
+                                   np.diff(np.log(xs)), rtol=1e-14)
+        assert widths == [2 * 33]
+
+    def test_non_finite_interval_in_a_run_raises(self):
+        # NaN strictly inside (2, 3), the middle interval of a run
+        def f(t):
+            return np.where((t > 2.0) & (t < 3.0), np.nan, 1.0 / t)
+
+        with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
+            fixed_panels(f, np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0]))
+
+    def test_kinked_payoff_still_raises(self):
+        # a kink at x = 3 inside a curve's run: its panel fails both fits,
+        # and the interval holding the kink fails on panels of its own
+        kinked = custom_payoff(lambda x: np.maximum(x - 3.0, 0.0) + 0.2 * x)
+        params = ProblemParams(r=0.1, lam=1.0, p=0.5, K=1.0, C=1.0, h=kinked)
+        with pytest.raises(QuadratureError, match="failed to converge"):
+            solve(SPEC, params)
+
+
+def window_walk(f, start, limit, up):
+    """_quad._walk as one integrand call per window: the reference that
+    the blocked walk must reproduce bit for bit."""
+    total = total_abs = 0.0
+    prev_w, calm, grow, near = math.inf, 0, 0, start
+    for _ in range(_quad._MAX_WINDOWS):
+        far = near * math.exp(_quad._WINDOW if up else -_quad._WINDOW)
+        truncated = limit is not None and (far >= limit if up else far <= limit)
+        if truncated:
+            far = min(far, limit) if up else max(far, limit)
+        a, b = (near, far) if up else (far, near)
+        va, vb = math.log(a), math.log(b)
+        x = np.exp(va + (vb - va) * _quad._WINDOW_NODES)
+        wk = float((np.asarray(f(x), dtype=float) * x * _quad._WINDOW_WEIGHTS).sum()) * (vb - va)
+        if not math.isfinite(wk):
+            raise QuadratureError("not finite")
+        total += wk
+        total_abs += abs(wk)
+        if truncated:
+            return total + _quad._tail_estimate(wk, prev_w, "upper" if up else "lower")
+        if abs(wk) <= _quad._REL_TOL * max(total_abs, 1e-300):
+            calm += 1
+            if calm >= 2:
+                return total
+        else:
+            calm = 0
+        if up and abs(wk) > abs(prev_w) and math.isfinite(prev_w):
+            grow += 1
+            if grow >= 4:
+                raise QuadratureError("growing")
+        else:
+            grow = 0
+        prev_w, near = wk, far
+        if not up and near <= _quad._X_FLOOR:
+            return total
+    raise QuadratureError("did not converge")
+
+
+class TestBlockedWalk:
+    """The tail walk evaluates up to 7 windows per integrand call and
+    takes them in order, as a walk of one window per call would."""
+
+    @pytest.mark.parametrize("h", [power(0.5), power(1.0), affine(0.6)])
+    def test_bitwise_the_window_walk(self, basis11, basis06, h):
+        for basis in (basis11, basis06):
+            f_psi = _integrand(basis.psi, h, m_prime)
+            f_phi = _integrand(basis.phi, h, m_prime)
+            for x in (1e-3, 0.37, 2.0, 41.0):
+                for limit in (None, x * 1e4):
+                    assert integrate_to_inf(f_phi, x, limit=limit) == \
+                        window_walk(f_phi, x, limit, True)
+                for limit in (None, x * 1e-4):
+                    assert integrate_to_zero(f_psi, x, limit=limit) == \
+                        window_walk(f_psi, x, limit, False)
+
+    def test_integrand_calls_stay_narrow(self, basis11):
+        widths = []
+
+        def counted(u):
+            def f(x):
+                widths.append(len(x))
+                return u(x) * np.sqrt(x) * m_prime(x)
+
+            return f
+
+        integrate_to_inf(counted(basis11.phi), 2.0)
+        integrate_to_zero(counted(basis11.psi), 2.0)
+        assert max(widths) == 7 * 66 <= TestIntegrandWidth.LIMIT
+        assert len(widths) < 6
+
+    def test_ignores_what_lies_past_the_stop(self):
+        # the walk stops within its first block, whose later windows are
+        # NaN: they must not be seen, while an earlier NaN still raises
+        seen = []
+
+        def f(x):
+            seen.append(x.max())
+            return np.exp(-x)
+
+        total = window_walk(f, 1.0, None, True)
+        stop = seen[-1]
+        assert len(seen) < 7
+        past = []
+
+        def nan_past(x):
+            past.append(np.count_nonzero(x > 1.5 * stop))
+            return np.where(x > 1.5 * stop, np.nan, np.exp(-x))
+
+        assert integrate_to_inf(nan_past, 1.0) == total
+        assert sum(past) > 0
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_to_inf(lambda x: np.where(x > 0.5 * stop, np.nan, np.exp(-x)), 1.0)
+
+    def test_no_window_past_the_floor_or_an_overflow(self):
+        # the integrand refuses the states a walk of one window per call
+        # never asks for: below the window that reaches the floor, and any
+        # of a window that overflows before the walk gets there
+        def strict(g, lowest):
+            def f(x):
+                assert np.all(np.isfinite(x)) and x.min() >= lowest
+                return g(x)
+
+            return f
+
+        # 1/x never calms, so the walk goes down to the floor
+        assert integrate_to_zero(strict(lambda x: 1.0 / x, _quad._X_FLOOR / math.e), 1e-270) \
+            == window_walk(lambda x: 1.0 / x, 1e-270, None, False)
+        # from 1e306 the sixth window overflows; the walk calms at the fourth
+        def decay(x):
+            return np.exp(-x / 1e305)
+
+        assert integrate_to_inf(strict(decay, 0.0), 1e306) == window_walk(decay, 1e306, None, True)
 
 
 class TestIntegrandWidth:

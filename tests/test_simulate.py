@@ -299,6 +299,34 @@ class TestMetadata:
         assert (md["jumps"], md["jump_rows_drawn"]) == (0, 0)
         assert md["path_substeps"] == 2 * 4096 * n_steps
 
+    def test_jump_between_steps_is_taken(self, monkeypatch):
+        # step 5 ends at 5 * 0.1 + 0.1 = 0.6, step 6 starts at 6 * 0.1 =
+        # 0.6000000000000001: a jump pinned at the latter falls between
+        # them, and the lane must take it rather than stop moving
+        assert 5 * 0.1 + 0.1 < 6 * 0.1
+        fill = simulate._jump_fill
+
+        def pinned(rng, rate, width):
+            inner = fill(rng, rate, width)
+            first = True
+
+            def pinned_fill(out):
+                nonlocal first
+                inner(out)
+                if first:
+                    # lane 0's first jump; its second comes later
+                    assert out[1, 0] > 6 * 0.1
+                    out[0, 0] = 6 * 0.1
+                    first = False
+
+            return pinned_fill
+
+        monkeypatch.setattr(simulate, "_jump_fill", pinned)
+        run_cfg = cfg(n=4096, dt=0.1)
+        md = simulate_idle_value(SPEC, PARAMS, X_STAR, 2.0, run_cfg).metadata
+        n_steps = math.ceil(md["t_max"] / run_cfg.dt)
+        assert md["path_substeps"] == 4096 * n_steps + md["jumps"]
+
 
 class TestValidation:
     def test_config_rejects_bad_values(self):
