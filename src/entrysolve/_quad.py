@@ -6,18 +6,20 @@ composite fixed-order panels equidistributes resolution across scales
 and keeps evaluation vectorized and deterministic.
 
 One panel rule does all the work: Clenshaw-Curtis on the 33
-Chebyshev-Lobatto nodes of each panel, ends included, with the nested
-17-node rule on every second node as the error estimate, at most 15
-panels per integrand call. A panel is summed by both rules, or fitted
-(the Chebyshev series of its interpolant's antiderivative), for
-fixed_panels' runs of touching intervals and the tables of diffusions.
+Chebyshev-Lobatto nodes of each panel, ends included, at most 15 panels
+per integrand call. A panel is fitted once, as the Chebyshev series of
+its interpolant's antiderivative; the largest gap between that and the
+nested 17-node rule's antiderivative at the nodes is its error. The fits
+serve fixed_panels and the tables of diffusions.
 
-fixed_panels integrates [a_i, b_i] on panels at most 0.5 wide in ln x:
-a run of touching intervals, b_i == a_(i+1), from one fit per panel of
-the run; any other interval from panels of its own, as is any over a
-panel whose fit fails. Panels that fail 1e-8 of their integral of |f|
-are redone a quarter as wide; failing 1e-7 then, a non-finite integral
-included, raises QuadratureError naming the interval.
+fixed_panels integrates [a_i, b_i] run by run: touching intervals,
+b_i == a_(i+1), a lone interval being a run of one. A run is cut into
+the fewest equal panels at most 0.5 wide in ln x, and each interval
+takes its part of the panels it overlaps. A panel whose gap is not
+within 1e-8 of its integral of |f| is refitted as four quarter-width
+pieces at 1e-7. An interval over a piece that still fails, a non-finite
+one included, is redone as a run of its own; failing alone, it raises
+QuadratureError naming the interval.
 
 The open-ended entry points share one walker: unit-width log windows of
 two panels each, up to 7 per integrand call but taken one at a time,
@@ -66,22 +68,31 @@ def _antiderivative_map(n: int) -> np.ndarray:
     return np.polynomial.chebyshev.chebint(to_coefs, lbnd=-1.0, axis=0)
 
 
-# Clenshaw-Curtis weights of both rules, all positive: each antiderivative
-# at t = 1, where every T_k is 1 (no BLAS or LAPACK at import)
+# Clenshaw-Curtis weights, all positive: the antiderivative at t = 1,
+# where every T_k is 1 (no BLAS or LAPACK at import)
 _WEIGHTS = _antiderivative_map(_DEGREE).sum(axis=0)
-_NESTED_WEIGHTS = _antiderivative_map(_DEGREE // 2).sum(axis=0)
 
 
 @lru_cache(maxsize=1)
-def _cheb_maps() -> np.ndarray:
-    """The antiderivative map of the panel rule over the map to the gap
-    between its antiderivative and the nested rule's at the nodes.
-    Built on first use, not at import."""
+def _cheb_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The parabola through a panel's values at t = -1, 0, 1, on the
+    nodes; and the map from the values less it, then those three, to the
+    antiderivative series, the gap between it and the nested rule's at
+    the nodes, and the integral. Built on first use, not at import."""
+    t = _NODES
+    parabola = np.stack((0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)))
     anti = _antiderivative_map(_DEGREE)
-    gap = np.polynomial.chebyshev.chebvander(_NODES, _DEGREE + 1) @ anti
-    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(_NODES, _DEGREE // 2 + 1)
+    gap = np.polynomial.chebyshev.chebvander(t, _DEGREE + 1) @ anti
+    gap[:, ::2] -= (np.polynomial.chebyshev.chebvander(t, _DEGREE // 2 + 1)
                     @ _antiderivative_map(_DEGREE // 2))
-    return np.vstack((anti, gap))
+    # both rules integrate the parabola exactly: its series is that of
+    # the 3-node interpolant, and it leaves no gap
+    par_anti = np.zeros((_DEGREE + 2, 3))
+    par_anti[:4] = _antiderivative_map(2)
+    maps = np.block([[anti, par_anti],
+                     [gap, np.zeros((_DEGREE + 1, 3))],
+                     [_WEIGHTS, par_anti.sum(axis=0)]])
+    return parabola, maps.T
 
 
 def _clenshaw_slope(coefs: np.ndarray, piece: np.ndarray, t0: np.ndarray,
@@ -114,26 +125,22 @@ def _log_sampler(fx: Callable) -> Callable:
 def _fit(sample: Callable, lefts: np.ndarray, widths: np.ndarray, tol: float):
     """Antiderivative series (one row per piece), integrals, fit gaps and
     the indices that fail tol, of g = sample(v) on the pieces
-    [left, left + width] of v."""
+    [left, left + width] of v; a piece where g is not finite fails."""
     half = 0.5 * widths
+    parabola, maps = _cheb_maps()
     with np.errstate(all="ignore"):
-        vals = sample(lefts[:, None] + half[:, None] * (_NODES + 1.0))
-        # both fits are exact for the parabola m + beta t + gamma t^2 through
-        # the middle and end nodes, so rounding scales with g less it
-        mid = vals[:, _DEGREE // 2]
-        beta = 0.5 * (vals[:, -1] - vals[:, 0])
-        gamma = 0.5 * (vals[:, -1] + vals[:, 0]) - mid
-        dev = vals - (mid[:, None] + (beta[:, None] + gamma[:, None] * _NODES) * _NODES)
+        vals = sample(lefts[:, None] + half[:, None] * (_NODES + 1.0)) * half[:, None]
+        # both rules are exact for the parabola through the middle and end
+        # nodes, so rounding scales with g less it
+        ends = vals[:, ::_DEGREE // 2]
+        dev = vals - np.einsum("ij,jk->ik", ends, parabola)
         # einsum: BLAS sums depend on a row's place, a fit on its neighbours
-        coefs, gap = np.hsplit(np.einsum("ij,kj->ik", dev, _cheb_maps()), [_DEGREE + 2])
-        gap = np.max(np.abs(gap), axis=1)
+        fit = np.einsum("ij,jk->ik", np.concatenate((dev, ends), axis=1), maps)
+        gap = np.abs(fit[:, _DEGREE + 2:-1]).max(axis=1)
         mass = np.einsum("ij,j->i", np.abs(vals), _WEIGHTS)
-        bad = np.flatnonzero(~(gap <= tol * np.maximum(mass, 1e-300)))
-        # the parabola's antiderivative from -1, as t^3 = (3 T_1 + T_3) / 4
-        coefs[:, :4] += np.stack((mid - 0.25 * beta + gamma / 3.0, mid + 0.25 * gamma,
-                                  0.25 * beta, gamma / 12.0), axis=1)
-        integrals = np.einsum("ij,j->i", dev, _WEIGHTS) + 2.0 * (mid + gamma / 3.0)
-    return half[:, None] * coefs, half * integrals, gap, bad
+        # strictly: an infinite gap never passes an infinite mass
+        bad = np.flatnonzero(~(gap < tol * np.maximum(mass, 1e-300)))
+    return fit[:, :_DEGREE + 2], fit[:, -1], gap, bad
 
 
 def _pieces(sample: Callable, lefts: np.ndarray, widths: np.ndarray) -> tuple:
@@ -157,74 +164,31 @@ def _pieces(sample: Callable, lefts: np.ndarray, widths: np.ndarray) -> tuple:
     return lefts, widths, coefs.T, integrals, failed, gaps
 
 
-def _panels(va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
-    """Cut each log interval [va_i, vb_i] into the fewest equal panels
-    at most `width` wide; return every panel's interval index, midpoint
-    and half-width."""
-    span = vb - va
-    counts = np.ceil(span / width).astype(np.intp)
-    owner = np.repeat(np.arange(va.size), counts)
-    half = 0.5 * span[owner] / counts[owner]
-    k = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    return owner, va[owner] + (2 * k + 1) * half, half
+# the walker's panel nodes and weights: two panels of half its window,
+# which is scaled to [0, 1]
+_WINDOW_NODES = (np.array([[0.25], [0.75]]) + 0.25 * _NODES).ravel()
+_WINDOW_WEIGHTS = np.tile(0.25 * _WEIGHTS, 2)
 
 
-def _panel_sums(f: Callable, mid: np.ndarray, half: np.ndarray) -> tuple:
-    """Integrals of f(x) dx over each panel [mid - half, mid + half] in
-    v = ln x by the 33- and the nested 17-node rule, and of |f(x)| dx by
-    the 33-node rule."""
-    sample = _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x)  # dx = x dv
-    vals = sample(mid[:, None] + half[:, None] * _NODES) * half[:, None]
-    return ((vals * _WEIGHTS).sum(axis=1), (vals[:, ::2] * _NESTED_WEIGHTS).sum(axis=1),
-            (np.abs(vals) * _WEIGHTS).sum(axis=1))
-
-
-def _log_panels(f: Callable, va: np.ndarray, vb: np.ndarray, width: float) -> tuple:
-    """_panel_sums' three integrals over x in [e^va_i, e^vb_i],
-    elementwise, on panels at most `width` wide in v."""
-    owner, mid, half = _panels(va, vb, width)
-    return tuple(np.bincount(owner, sums, minlength=va.size)
-                 for sums in _panel_sums(f, mid, half))
-
-
-# the walker's panel nodes and weights, on its window scaled to [0, 1]
-_, _WINDOW_MID, _WINDOW_HALF = _panels(np.zeros(1), np.ones(1), _PANEL_WIDTH / _WINDOW)
-_WINDOW_NODES = (_WINDOW_MID[:, None] + _WINDOW_HALF[:, None] * _NODES).ravel()
-_WINDOW_WEIGHTS = (_WINDOW_HALF[:, None] * _WEIGHTS).ravel()
-
-
-def _unconverged(hi: np.ndarray, lo: np.ndarray, mass: np.ndarray, tol: float) -> np.ndarray:
-    """Indices where the two rules disagree beyond tol of the mass; a
-    non-finite sum never passes."""
-    return np.flatnonzero(~(np.abs(hi - lo) <= tol * np.maximum(mass, 1e-300)))
-
-
-def _interval_sums(f: Callable, a: np.ndarray, b: np.ndarray, va: np.ndarray,
-                   vb: np.ndarray) -> np.ndarray:
-    """Integrals of f over [a_i, b_i] = [e^va_i, e^vb_i], each interval on
-    panels of its own."""
-    hi, lo, mass = _log_panels(f, va, vb, _PANEL_WIDTH)
-    redo = _unconverged(hi, lo, mass, 1e-8)
-    if redo.size:
-        hi2, lo2, mass2 = _log_panels(f, va[redo], vb[redo], _PANEL_WIDTH / 4.0)
-        failed = _unconverged(hi2, lo2, mass2, 1e-7)
-        if failed.size:
-            j = failed[0]
-            raise QuadratureError(
-                f"panel integral on [{a[redo[j]]}, {b[redo[j]]}] failed to "
-                f"converge (refined disagreement {abs(float(hi2[j]) - float(lo2[j])):.3e})")
-        hi[redo] = hi2
-    return hi
-
-
-def _run_sums(f: Callable, va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f over the touching [va_i, vb_i] of one run from one fit
-    per panel, and a mask of those over a failed piece, not to be used."""
-    n = math.ceil((vb[-1] - va[0]) / _PANEL_WIDTH)
-    width = (vb[-1] - va[0]) / n
-    lefts, widths, coefs, _, failed, _ = _pieces(
-        _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x),
+def _run_sums(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals of f over the touching [a_i, b_i] of one run from one fit
+    per panel. An interval over a piece no fit accepts is redone alone,
+    and alone raises QuadratureError."""
+    va, vb = np.log(a), np.log(b)
+    span = vb[-1] - va[0]
+    if span == 0.0:
+        return np.zeros(a.size)
+    n = math.ceil(span / _PANEL_WIDTH)
+    width = span / n
+    lefts, widths, coefs, integrals, failed, gaps = _pieces(
+        _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x),  # dx = x dv
         va[0] + width * np.arange(n), np.full(n, width))
+    if a.size == 1:
+        if failed.size:
+            raise QuadratureError(
+                f"panel integral on [{a[0]}, {b[0]}] failed to converge "
+                f"(refined disagreement {gaps[0]:.3e})")
+        return integrals.sum(keepdims=True)
     # to the highest degree any piece needs: k c_k is about half the
     # interpolant's coefficient a_(k-1), dropped below rounding
     size = np.abs(coefs) * np.arange(len(coefs))[:, None]
@@ -243,9 +207,11 @@ def _run_sums(f: Callable, va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, 
     half = 0.5 * widths[piece]
     slope = _clenshaw_slope(coefs, piece, (lo - lefts[piece]) / half - 1.0,
                             (hi - lefts[piece]) / half - 1.0)
+    sums = np.bincount(seg, (hi - lo) / half * slope, minlength=va.size)
     failed_before = np.bincount(failed + 1, minlength=lefts.size + 1).cumsum()
-    return (np.bincount(seg, (hi - lo) / half * slope, minlength=va.size),
-            failed_before[tail + 1] > failed_before[head])
+    for i in np.flatnonzero(failed_before[tail + 1] > failed_before[head]):
+        sums[i:i + 1] = _run_sums(f, a[i:i + 1], b[i:i + 1])
+    return sums
 
 
 # a non-finite sum raises QuadratureError, so numpy's overflow warnings
@@ -255,11 +221,12 @@ def fixed_panels(f: Callable, a, b):
     """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
     over arrays of endpoints; scalar endpoints give a float.
 
-    A run of touching intervals, b[i] == a[i + 1], is cut into panels at
-    most 0.5 wide in ln x, each fitted once with its ends as nodes, so f
-    is evaluated at each run's ends (as exp(ln a), exp(ln b)); any other
-    interval gets panels of its own, with f evaluated at a and b. The
-    nested 17-node rule estimates the error (see the module docstring).
+    Each run of touching intervals, b[i] == a[i + 1], a lone interval
+    being a run of one, is cut into the fewest equal panels at most 0.5
+    wide in ln x and fitted once per panel, the panel ends among the
+    nodes, so f is evaluated at each run's ends as exp(ln a), exp(ln b).
+    An interval over a panel no fit accepts is redone alone, and alone
+    raises QuadratureError (see the module docstring).
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -268,17 +235,12 @@ def fixed_panels(f: Callable, a, b):
         j = np.argmax(bad)
         raise ValueError(f"need 0 < a <= b < inf, got [{a.flat[j]}, {b.flat[j]}]")
     a, b = a.ravel(), b.ravel()
-    va, vb = np.log(a), np.log(b)
     out = np.empty(a.size)
-    alone = np.ones(a.size, dtype=bool)
-    if a.size > 1:
-        starts = np.flatnonzero(np.append(True, a[1:] != b[:-1]))
-        for i, j in zip(starts, np.append(starts[1:], a.size)):
-            if j - i > 1 and vb[j - 1] > va[i]:
-                out[i:j], alone[i:j] = _run_sums(f, va[i:j], vb[i:j])
-    alone = np.flatnonzero(alone)
-    if alone.size:
-        out[alone] = _interval_sums(f, a[alone], b[alone], va[alone], vb[alone])
+    # a run starts where an interval does not start at the previous end
+    # (the first one: a > 0)
+    starts = np.flatnonzero(a != np.append(0.0, b[:-1])).tolist()
+    for i, j in zip(starts, starts[1:] + [a.size]):
+        out[i:j] = _run_sums(f, a[i:j], b[i:j])
     return float(out[0]) if scalar else out.reshape(np.shape(bad))
 
 

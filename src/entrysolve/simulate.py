@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -72,9 +73,9 @@ class SimConfig:
     """Simulation settings.
 
     Attributes:
-        n_paths: number of Monte Carlo paths, >= 1.
-        seed: base seed for the per-block Philox streams.
-        dt: diffusion step, > 0.
+        n_paths: number of Monte Carlo paths, an integer >= 1.
+        seed: base seed for the per-block Philox streams, an integer >= 0.
+        dt: diffusion step, finite and > 0.
         horizon_T: hard time truncation.
         discount_floor: alternative truncation: a path stops once
             exp(-rho t) < discount_floor.
@@ -89,10 +90,13 @@ class SimConfig:
     formulation: Formulation = Formulation.FULL
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.horizon_T > 0.0:
             raise ValueError(f"horizon_T must be positive, got {self.horizon_T}")
         if not 0.0 < self.discount_floor < 1.0:

@@ -382,6 +382,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", write(tmp_path, FLAT)]) == 2
         assert "sim.n_paths" in capsys.readouterr().err
 
+    def test_infinite_sim_step_is_exit_2(self, tmp_path, capsys):
+        code = main(["simulate", "--config",
+                     write(tmp_path, FLAT + SIM_EXTRA.replace("0.05", "inf"))])
+        assert code == 2
+        assert "dt" in capsys.readouterr().err
+
     def test_seed_and_paths_overrides(self, tmp_path, capsys):
         cfgp = write(tmp_path, FLAT + SIM_EXTRA + "sim.formulation = thinned\n")
         assert main(["simulate", "--config", cfgp, "--paths", "500",

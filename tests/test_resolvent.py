@@ -229,6 +229,21 @@ class TestIntegrability:
                                    np.log(b[:2] / a[:2]), rtol=1e-14)
         assert isinstance(fixed_panels(f, 3.0, 4.0), float)
 
+    def test_infinite_node_value_is_not_summed(self):
+        # +inf at one interior node: the panel's gap and its mass of |f|
+        # are both infinite, which must fail the fit, not pass it; the
+        # quarter-width pieces miss the node and give the integral
+        nodes = []
+
+        def record(t):
+            nodes.append(t.copy())
+            return 1.0 / t
+
+        fixed_panels(record, 1.0, 1.5)
+        for a, b in ((1.0, 1.5), (np.array([1.0, 1.2]), np.array([1.2, 1.5]))):
+            got = fixed_panels(lambda t: np.where(t == nodes[0][5], np.inf, 1.0 / t), a, b)
+            np.testing.assert_allclose(got, np.log(np.divide(b, a)), rtol=1e-14)
+
     def test_same_payoff_fine_at_higher_rate(self, basis11):
         got = resolvent(basis11, m_prime, power(2.0), 2.0)
         # E int e^(-rho t) X_t^2 dt = x^2 / (rho - 2 alpha - beta^2)
@@ -329,6 +344,18 @@ class TestRuns:
 
         with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
             fixed_panels(f, np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0]))
+
+    def test_intervals_over_a_failed_panel_are_redone_alone(self):
+        # the kink at 2.7 fails its panel at quarter width too, but it is
+        # a grid point, so every interval passes on its own; the reference
+        # integrates s (x - 2.7) + 1, s = +-1 the interval's side, over
+        # [a, a e^w] on the quadrature's log-width w
+        xs = np.union1d(np.geomspace(1.0, 9.0, 41), [2.7])
+        a, b = xs[:-1], xs[1:]
+        got = fixed_panels(lambda x: np.abs(x - 2.7) + 1.0, a, b)
+        w, s = np.log(b) - np.log(a), np.sign(a + b - 5.4)
+        want = s * a * a * np.expm1(2.0 * w) / 2.0 + (1.0 - 2.7 * s) * a * np.expm1(w)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_kinked_payoff_still_raises(self):
         # a kink at x = 3 inside a curve's run: its panel fails both fits,

@@ -345,6 +345,22 @@ class TestValidation:
                 SimConfig(n_paths=10, **{field: math.nan})
         assert SimConfig(n_paths=10, horizon_T=math.inf).horizon_T == math.inf
 
+    def test_config_rejects_an_infinite_step(self):
+        # ceil(t_max / inf) = 0 steps would give mean 0 and stderr 0
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(n_paths=10, dt=math.inf)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 100.5), ("n_paths", 100.0), ("seed", 1.5), ("seed", "1")])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        kwargs = {"n_paths": 10, field: value}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        config = SimConfig(n_paths=np.int64(10), seed=np.uint32(7))
+        assert (config.n_paths, config.seed) == (10, 7)
+
     def test_run_rejects_bad_states(self):
         with pytest.raises(ValueError):
             simulate_idle_value(SPEC, PARAMS, X_STAR, -2.0, cfg(n=10))
