@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -448,7 +449,10 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="entrysolve",
         description="Optimal entry thresholds for sequential investment "

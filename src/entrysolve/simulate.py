@@ -21,22 +21,30 @@ of jump times (running sums of the exponential gaps, carried from chunk
 to chunk) and 16 of marks. Row r, column j does not depend on the
 chunking, so the values are bitwise those of drawing every row up
 front; in FULL, where a block's paths are usually all dead long before
-t_max, most jump and mark rows are never drawn. Normal rows are dropped
-once every live path has moved past them, so the noise buffer holds
-only the rows between the slowest and the fastest path, and the jump
-and mark buffers only the rows up to the furthest jump any lane has
-reached. Per-path noise consumption depends only on the path's own jump
-count, so each path's result is a function of (seed, path index) alone
-under this block layout. Jump times are handled exactly: a step
+t_max, most jump and mark rows are never drawn. Rows are kept in rings
+whose space is reused once every live path has moved past a row, so
+the noise buffer holds only the rows between the slowest and the
+fastest path, and the jump and mark buffers only the rows up to the
+furthest jump any lane has reached. Per-path noise consumption depends
+only on the path's own jump count, so each path's result is a function
+of (seed, path index) alone under this block layout. Jump times are handled exactly: a step
 containing a jump is advanced in sub-segments that end precisely at the
 jump. Only the paths that move do work: after a step's first
 sub-segment only the paths that have just jumped are advanced, and in
-FULL a path killed by a catastrophe is dropped from the block.
+FULL a path killed by a catastrophe is dropped from the working set.
 
-Blocks are independent, so they may run in forked worker processes, one
-per usable CPU. The per-block sums are still reduced with math.fsum in
-block order, so results do not depend on the number of workers and each
-path's result remains a function of (seed, path index) alone.
+Consecutive blocks are simulated side by side in groups of up to
+_GROUP, as one set of lanes, which spreads the per-step overhead over
+more paths. A group's matrices are its blocks' matrices placed next to
+each other: each block keeps its own streams and chunking, and its sums
+are reduced over its own columns. A group draws a row for each of its
+blocks that still has a live path once any of its paths needs it, so
+it may draw more rows than its blocks would alone, but never other
+values. Groups are independent, so they may run in forked worker
+processes, one per usable CPU. The per-block sums are still reduced
+with math.fsum in block order, so results depend neither on the number
+of workers nor on the grouping, and each path's result remains a
+function of (seed, path index) alone.
 
 GBM steps use the exact lognormal transition; logistic and custom
 models use Euler-Maruyama on the log state. Paths stop at
@@ -59,6 +67,7 @@ from .diffusions import DiffusionKind, DiffusionSpec
 from .solver import ProblemParams
 
 _BLOCK = 4096
+_GROUP = 4           # most blocks one pool task simulates side by side
 _CHUNK = 64          # normal rows per draw
 _JUMP_CHUNK = 16     # jump-time and mark rows per draw
 
@@ -91,8 +100,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n_paths", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # bool is an Integral too, but True paths or seed False is a slip
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if not 0.0 < self.dt < math.inf:
@@ -113,7 +124,9 @@ class PolicyEstimate:
     Besides the run settings, metadata holds the work of the whole run,
     summed over blocks and shared by every row simulated with it:
     path_substeps (lanes advanced, summed over sub-segments), jumps,
-    noise_rows_drawn and jump_rows_drawn (rows of 4096 draws each).
+    noise_rows_drawn and jump_rows_drawn (rows of 4096 draws each; a
+    group draws each row for all its blocks that still have a live path,
+    and counts it once per such block).
     """
 
     mean: float
@@ -125,43 +138,70 @@ class PolicyEstimate:
 
 
 class _RowDealer:
-    """Serves entries of an implicit (inf, width) matrix whose rows
-    fill(out) writes in stream order, a whole number of chunks at a time.
+    """Serves entries of an implicit (inf, width) matrix: the (inf,
+    _BLOCK) matrices of a group's blocks side by side, block b's rows
+    written by fills[b](out=...) in stream order, one C-contiguous
+    (chunk, _BLOCK) out at a time.
 
-    Rows are made only when a path first asks for them, and release()
-    drops the rows every live path has moved past, while row r, column j
-    stays a fixed function of the stream.
+    Rows are made only when a path first asks for them. They are kept
+    in a ring whose length is a power of two times chunk, row r at ring
+    row r mod that length, so release() drops the rows every live path
+    has moved past just by raising a floor, and later rows reuse their
+    space. Row r, column j of each block stays a fixed function of that
+    block's stream. retire() stops drawing for blocks with no live path
+    left. rows_drawn counts rows of _BLOCK draws, one per block and row.
     """
 
-    def __init__(self, fill, width: int, chunk: int):
-        self._fill = fill
-        self._width = width
+    def __init__(self, fills, chunk: int):
+        self._fills = list(fills)
         self._chunk = chunk
-        self._buf = np.empty((0, width))
-        self._base = 0
+        self._ring = np.empty((chunk, _BLOCK * len(self._fills)))
+        self._base = self._top = 0
         self.rows_drawn = 0
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries (rows[i], cols[i]); no row may lie below the last
         release floor."""
-        top = self._base + len(self._buf)
         need = int(rows.max(initial=-1))
-        if need >= top:
-            live = len(self._buf)
-            fresh = ((need - top) // self._chunk + 1) * self._chunk
-            buf = np.empty((live + fresh, self._width))
-            buf[:live] = self._buf
-            self._fill(buf[live:])
-            self._buf = buf
-            self.rows_drawn += fresh
-        return self._buf.take((rows - self._base) * self._width + cols)
+        if need >= self._top:
+            self._draw(need)
+        ring = self._ring
+        return ring.take((rows & (len(ring) - 1)) * ring.shape[1] + cols)
+
+    def _draw(self, need: int) -> None:
+        chunk, old = self._chunk, len(self._ring)
+        top = self._top + ((need - self._top) // chunk + 1) * chunk
+        size = old
+        while top - self._base > size:
+            size *= 2
+        if size > old:
+            held = np.arange(self._base, self._top)
+            ring = np.empty((size, self._ring.shape[1]))
+            ring[held & (size - 1)] = self._ring[held & (old - 1)]
+            self._ring = ring
+        # a group of one fills the ring in place, wider ones via part
+        part = np.empty((chunk, _BLOCK)) if len(self._fills) > 1 else None
+        for r in range(self._top, top, chunk):
+            at = self._ring[r & (size - 1):][:chunk]
+            for b, fill in enumerate(self._fills):
+                if fill is None:
+                    continue
+                if part is None:
+                    fill(out=at)
+                else:
+                    fill(out=part)
+                    at[:, b * _BLOCK:(b + 1) * _BLOCK] = part
+                self.rows_drawn += chunk
+        self._top = top
 
     def release(self, floor: int) -> None:
         """Drop the rows below floor, which must be the minimum row
         pointer over every live path, moving or not."""
-        if floor > self._base:
-            self._buf = self._buf[floor - self._base:]
-            self._base = floor
+        self._base = max(self._base, floor)
+
+    def retire(self, live: np.ndarray) -> None:
+        """Draw no more rows for the blocks b with live[b] false."""
+        self._fills = [f if keep else None for f, keep in zip(self._fills, live)]
 
 
 def _jump_fill(rng: np.random.Generator, rate: float, width: int):
@@ -209,41 +249,44 @@ def _log_stepper(spec: DiffusionSpec):
     return advance
 
 
-def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
-                    block_idx):
+def _simulate_block(spec, params, thresholds, start_flags, x0, cfg, blocks):
+    """Simulate a group of consecutive blocks side by side: blocks is a
+    range of block indices, or one index for a group of one. Returns
+    one dict for the group; its per-block entries are lists in block
+    order, each reduced over that block's own used columns."""
+    if not isinstance(blocks, range):
+        blocks = range(blocks, blocks + 1)
     full = cfg.formulation is Formulation.FULL
     rho = params.r if full else params.rho_idle
     rate = params.lam if full else params.lam * params.p
     t_max = min(cfg.horizon_T, math.log(1.0 / cfg.discount_floor) / rho)
     n_steps = int(math.ceil(t_max / cfg.dt))
-    width = _BLOCK
-    n_used = min(width, cfg.n_paths - block_idx * width)
+    width = _BLOCK * len(blocks)
     nt = len(thresholds)
     th = np.asarray(thresholds, dtype=float)[:, None]
     h, p, big_k, run_c = params.h, params.p, params.K, params.C
 
-    def stream(tag):
-        return np.random.Generator(np.random.Philox(
-            np.random.SeedSequence((cfg.seed, block_idx, tag))))
+    def streams(tag):
+        return [np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((cfg.seed, b, tag)))) for b in blocks]
 
-    noise = stream(0)
-    dealer = _RowDealer(lambda out: noise.standard_normal(out=out), width, _CHUNK)
+    dealer = _RowDealer([rng.standard_normal for rng in streams(0)], _CHUNK)
     lane = np.arange(width)
     jptr = np.zeros(width, dtype=np.int64)
     if rate > 0.0:
-        jumps = _RowDealer(_jump_fill(stream(1), rate, width), width, _JUMP_CHUNK)
+        jumps = _RowDealer([_jump_fill(rng, rate, _BLOCK) for rng in streams(1)],
+                           _JUMP_CHUNK)
         next_jump = jumps.take(jptr, lane)
     else:
         # thinned formulation with p = 0: no surviving exits at all
         jumps = None
         next_jump = np.full(width, np.inf)
     if full:
-        mark_rng = stream(2)
-        marks = _RowDealer(lambda out: mark_rng.random(out=out), width, _JUMP_CHUNK)
+        marks = _RowDealer([rng.random for rng in streams(2)], _JUMP_CHUNK)
 
     advance = _log_stepper(spec)
     # Per-path state is kept compact over the working set: the lanes
-    # (block columns) still simulated, in lane order. In FULL a lane
+    # (group columns) still simulated, in lane order. In FULL a lane
     # leaves it at the end of the step in which a catastrophe kills it;
     # its accumulators are then scattered back to column lane[i].
     y = np.full(width, math.log(x0))
@@ -343,29 +386,37 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg,
                 a.take(keep, axis=1) for a in (active, tot, fee, ent))
             if not lane.size:
                 break
+            if len(blocks) > 1:
+                edges = np.searchsorted(lane, np.arange(0, width + 1, _BLOCK))
+                for source in (dealer, jumps, marks):
+                    source.retire(np.diff(edges) > 0)
         enter_idle(math.exp(-rho * t1k))
         dealer.release(int(ptr.min()))
     totals[:, lane], fees[:, lane], entries[:, lane] = tot, fee, ent
 
-    sl = slice(0, n_used)
-    return {
-        "sum_v": totals[:, sl].sum(axis=1),
-        "sum_sq": (totals[:, sl] ** 2).sum(axis=1),
-        "sum_entries": entries[:, sl].sum(axis=1).astype(float),
-        "sum_fees": fees[:, sl].sum(axis=1),
+    res = {key: [] for key in _SUM_KEYS + ("dead",)}
+    for i, b in enumerate(blocks):
+        lo = i * _BLOCK
+        hi = lo + min(_BLOCK, cfg.n_paths - b * _BLOCK)
+        v = totals[:, lo:hi]
+        res["sum_v"].append(v.sum(axis=1))
+        res["sum_sq"].append((v ** 2).sum(axis=1))
+        res["sum_entries"].append(entries[:, lo:hi].sum(axis=1).astype(float))
+        res["sum_fees"].append(fees[:, lo:hi].sum(axis=1))
         # in FULL the lanes left in the working set are the survivors
-        "dead": float(n_used - np.count_nonzero(lane < n_used)) if full else math.nan,
-        "t_max": t_max,
-        "rho": rho,
-        # work over the whole block width, padding lanes included
-        "path_substeps": substeps,
-        "jumps": n_jumps,
-        "noise_rows_drawn": dealer.rows_drawn,
-        "jump_rows_drawn": 0 if jumps is None else jumps.rows_drawn,
-    }
+        alive = np.searchsorted(lane, hi) - np.searchsorted(lane, lo)
+        res["dead"].append(float(hi - lo - alive) if full else math.nan)
+    return dict(
+        res, t_max=t_max, rho=rho,
+        # work over the whole group width, padding lanes included
+        path_substeps=substeps, jumps=n_jumps,
+        noise_rows_drawn=dealer.rows_drawn,
+        jump_rows_drawn=0 if jumps is None else jumps.rows_drawn)
 
 
-# Work counters each block returns; _run_policy sums them over blocks.
+# Per-block sums of each policy row, reduced with math.fsum in block order.
+_SUM_KEYS = ("sum_v", "sum_sq", "sum_entries", "sum_fees")
+# Work counters each group returns; _run_policy sums them over groups.
 _WORK_KEYS = ("path_substeps", "jumps", "noise_rows_drawn", "jump_rows_drawn")
 
 # Set by the pool initializer in forked workers only, never in the caller.
@@ -377,8 +428,8 @@ def _init_worker(job: tuple) -> None:
     _worker_job = job
 
 
-def _worker_block(block_idx: int) -> dict:
-    return _simulate_block(*_worker_job, block_idx)
+def _worker_group(blocks: range) -> dict:
+    return _simulate_block(*_worker_job, blocks)
 
 
 def _usable_cpus() -> int:
@@ -388,20 +439,26 @@ def _usable_cpus() -> int:
 
 
 def _map_blocks(job: tuple, n_blocks: int) -> list[dict]:
-    """_simulate_block(*job, b) for b = 0 .. n_blocks - 1, in block order.
+    """_simulate_block(*job, group) for consecutive groups that cover
+    blocks 0 .. n_blocks - 1, in block order.
 
-    Blocks run in a fork-context process pool with one worker per usable
-    CPU (at most one per block). Forked workers inherit job, so custom
-    drift, volatility and payoff callables need no pickling. Blocks run
-    in this process when there is one block or one CPU, when fork is
+    A group holds min(_GROUP, ceil(n_blocks / CPUs)) blocks (the last
+    one fewer), so each usable CPU gets about the same share. Groups run
+    in a fork-context process pool with one worker per usable CPU (at
+    most one per group). Forked workers inherit job, so custom drift,
+    volatility and payoff callables need no pickling. Groups run in this
+    process when there is one group or one CPU, when fork is
     unavailable, or when this process is itself a daemonic pool worker.
     """
-    n_workers = min(n_blocks, _usable_cpus())
+    cpus = _usable_cpus()
+    size = min(_GROUP, -(-n_blocks // cpus))
+    groups = [range(b, min(b + size, n_blocks)) for b in range(0, n_blocks, size)]
+    n_workers = min(len(groups), cpus)
     if (n_workers < 2 or "fork" not in mp.get_all_start_methods()
             or mp.current_process().daemon):
-        return [_simulate_block(*job, b) for b in range(n_blocks)]
+        return [_simulate_block(*job, group) for group in groups]
     with mp.get_context("fork").Pool(n_workers, _init_worker, (job,)) as pool:
-        return pool.map(_worker_block, range(n_blocks), chunksize=1)
+        return pool.map(_worker_group, groups, chunksize=1)
 
 
 def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
@@ -420,17 +477,17 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
     n = cfg.n_paths
     n_blocks = (n + _BLOCK - 1) // _BLOCK
     nt = len(thresholds)
-    parts = {key: [[] for _ in range(nt)] for key in
-             ("sum_v", "sum_sq", "sum_entries", "sum_fees")}
+    parts = {key: [[] for _ in range(nt)] for key in _SUM_KEYS}
     dead_parts: list[float] = []
     work = dict.fromkeys(_WORK_KEYS, 0)
     t_max = rho = 0.0
     job = (spec, params, thresholds, start_flags, x0, cfg)
     for out in _map_blocks(job, n_blocks):
         for key in parts:
-            for i in range(nt):
-                parts[key][i].append(float(out[key][i]))
-        dead_parts.append(out["dead"])
+            for block_sums in out[key]:
+                for i in range(nt):
+                    parts[key][i].append(float(block_sums[i]))
+        dead_parts += out["dead"]
         for key in work:
             work[key] += out[key]
         t_max, rho = out["t_max"], out["rho"]

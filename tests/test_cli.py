@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from entrysolve import Formulation, solve
+from entrysolve import Formulation, cli, solve
 from entrysolve.cli import (
     ConfigError,
     cmd_curve,
@@ -409,6 +409,34 @@ class TestDirectCommandApi:
         monkeypatch.setenv("ENTRYSOLVE_LOG", "INFO")
         assert main(["solve", "--config", write(tmp_path, FLAT)]) == 0
         capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_match_a_fresh_parser(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # one parser serves every main call in a process: options given
+        # to one call must not leak into the next
+        cfgp = write(tmp_path, FLAT + SIM_EXTRA + "sim.formulation = thinned\n")
+        calls = (
+            ["curve", "--config", cfgp, "--points", "5", "--x-min", "1",
+             "--format", "json", "--p-list", "0.5,1"],
+            ["simulate", "--config", cfgp, "--paths", "300", "--seed", "9"],
+            ["solve", "--config", cfgp, "--format", "csv"],
+            ["curve", "--config", cfgp, "--points", "3"],
+        )
+
+        def outputs():
+            texts = []
+            for argv in calls:
+                assert main(argv) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        assert cli._build_parser() is cli._build_parser()
+        shared = outputs()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outputs() == shared
+        assert shared[0] != shared[3]
 
 
 def test_module_entry_point(tmp_path):

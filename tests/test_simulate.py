@@ -35,6 +35,20 @@ def cfg(n=20_000, seed=3, dt=0.05, form=Formulation.THINNED, **kw):
     return SimConfig(n_paths=n, seed=seed, dt=dt, formulation=form, **kw)
 
 
+def record_groups(monkeypatch) -> list:
+    """Patch _map_blocks to keep every group result it returns, in order."""
+    outs = []
+    real_map = simulate._map_blocks
+
+    def recording_map(job, n_blocks):
+        result = real_map(job, n_blocks)
+        outs.extend(result)
+        return result
+
+    monkeypatch.setattr(simulate, "_map_blocks", recording_map)
+    return outs
+
+
 class TestDeterminism:
     def test_bit_identical_repeats(self):
         a = simulate_idle_value(SPEC, PARAMS, X_STAR, 2.0, cfg(n=3000))
@@ -95,6 +109,15 @@ class TestPinnedOutput:
         got = tuple((r.mean, r.stderr, r.n_entries_mean) for r in rows)
         assert got == self.PINNED[(form, x0)]
 
+    @pytest.mark.parametrize("cpus", (1, 2), ids=lambda c: f"cpus={c}")
+    @pytest.mark.parametrize("form, x0", list(PINNED),
+                             ids=[f"{f.value}-x0={x:g}" for f, x in PINNED])
+    def test_pinned_values_in_one_group_or_two(self, form, x0, cpus, monkeypatch):
+        # one CPU runs both blocks side by side in one in-process group,
+        # two CPUs run one block per forked worker
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        self.test_two_block_run_matches_pinned_values(form, x0)
+
 
 class TestEulerPinnedOutput:
     """Repr-exact output of a 2-block run (the second one padded) for the
@@ -135,6 +158,13 @@ class TestEulerPinnedOutput:
         got = tuple((r.mean, r.stderr, r.n_entries_mean) for r in rows)
         assert got == self.PINNED[(model, form)]
 
+    @pytest.mark.parametrize("cpus", (1, 2), ids=lambda c: f"cpus={c}")
+    @pytest.mark.parametrize("model, form", list(PINNED),
+                             ids=[f"{m}-{f.value}" for m, f in PINNED])
+    def test_pinned_values_in_one_group_or_two(self, model, form, cpus, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        self.test_two_block_run_matches_pinned_values(model, form)
+
 
 class TestBlockPool:
     def test_worker_pool_matches_in_process_run(self, monkeypatch):
@@ -151,6 +181,74 @@ class TestBlockPool:
                 pooled.catastrophe_fraction) == (
             alone.mean, alone.stderr, alone.n_entries_mean,
             alone.catastrophe_fraction)
+
+    def test_worker_groups_of_two_match_single_blocks(self, monkeypatch):
+        # four blocks on two CPUs: each forked worker runs one group of
+        # two blocks side by side, the last block padded
+        spec = custom_diffusion(lambda x: 0.05 * x, lambda x: 0.25 * x)
+        run_cfg = cfg(n=14_000, dt=0.1, horizon_T=3.0, form=Formulation.FULL)
+        outs = record_groups(monkeypatch)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        pooled = simulate_idle_value(spec, PARAMS, X_STAR, 4.0, run_cfg)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(simulate, "_GROUP", 1)
+        alone = simulate_idle_value(spec, PARAMS, X_STAR, 4.0, run_cfg)
+        assert [len(out["dead"]) for out in outs] == [2, 2, 1, 1, 1, 1]
+        assert pooled.n_entries_mean > 0.0
+        assert repr((pooled.mean, pooled.stderr, pooled.n_entries_mean,
+                     pooled.catastrophe_fraction)) == repr(
+            (alone.mean, alone.stderr, alone.n_entries_mean,
+             alone.catastrophe_fraction))
+
+
+class TestGroups:
+    """Blocks simulated side by side in one group give every estimate
+    bit for bit as when each block runs alone."""
+
+    # p = 0.2 kills every FULL lane well before t_max, so blocks of a
+    # group die at different steps and stop drawing one by one
+    PARAMS = ProblemParams(r=0.1, lam=1.0, p=0.2, K=1.0, C=1.0, h=power(0.5))
+    MODELS = {
+        "gbm": (SPEC, X_STAR, 2.0),
+        "logistic": (logistic(0.05, 0.25, 0.2), 5.2357, 3.0),
+        "custom": (custom_diffusion(lambda x: 0.4 * x * (1.79 - np.log(x)),
+                                    lambda x: 0.35 * x), 7.0, 4.0),
+    }
+
+    @pytest.mark.parametrize("n", (16_384, 13_000))
+    @pytest.mark.parametrize("form", list(Formulation), ids=lambda f: f.value)
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_four_block_group_matches_single_blocks(self, model, form, n,
+                                                    monkeypatch):
+        spec, th, x0 = self.MODELS[model]
+        run_cfg = SimConfig(n_paths=n, seed=21, dt=0.1, horizon_T=40.0,
+                            formulation=form)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        outs = record_groups(monkeypatch)
+
+        def run(group):
+            monkeypatch.setattr(simulate, "_GROUP", group)
+            outs.clear()
+            rows = _run_policy(spec, self.PARAMS, [th, 0.8 * th], [False, True],
+                               x0, run_cfg)
+            return repr([(r.mean, r.stderr, r.n_entries_mean, r.catastrophe_fraction,
+                          r.metadata["mean_discounted_fees"]) for r in rows]), list(outs)
+
+        grouped, (group,) = run(4)
+        single, blocks = run(1)
+        assert len(group["dead"]) == len(blocks) == 4
+        assert grouped == single
+        for key in ("path_substeps", "jumps"):
+            assert group[key] == sum(out[key] for out in blocks)
+        # a group draws each row for every block that still has a live
+        # path, and counts it once per such block
+        for key in ("noise_rows_drawn", "jump_rows_drawn"):
+            most = 4 * max(out[key] for out in blocks)
+            if form is Formulation.FULL:
+                # blocks whose paths have all died stop drawing
+                assert sum(out[key] for out in blocks) <= group[key] <= most
+            else:
+                assert group[key] == most
 
 
 class TestRowSharing:
@@ -351,7 +449,8 @@ class TestValidation:
             SimConfig(n_paths=10, dt=math.inf)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_paths", 100.5), ("n_paths", 100.0), ("seed", 1.5), ("seed", "1")])
+        ("n_paths", 100.5), ("n_paths", 100.0), ("seed", 1.5), ("seed", "1"),
+        ("n_paths", True), ("seed", False)])
     def test_config_rejects_non_integer_counts(self, field, value):
         kwargs = {"n_paths": 10, field: value}
         with pytest.raises(ValueError, match=field):
