@@ -12,14 +12,14 @@ its interpolant's antiderivative; the largest gap between that and the
 nested 17-node rule's antiderivative at the nodes is its error. The fits
 serve fixed_panels and the tables of diffusions.
 
-fixed_panels integrates [a_i, b_i] run by run: touching intervals,
-b_i == a_(i+1), a lone interval being a run of one. A run is cut into
-the fewest equal panels at most 0.5 wide in ln x, and each interval
-takes its part of the panels it overlaps. A panel whose gap is not
-within 1e-8 of its integral of |f| is refitted as four quarter-width
-pieces at 1e-7. An interval over a piece that still fails, a non-finite
-one included, is redone as a run of its own; failing alone, it raises
-QuadratureError naming the interval.
+fixed_panels integrates between the ascending edges of one run,
+[xs_i, xs_(i+1)] for each i. The run is cut into the fewest equal
+panels at most 0.5 wide in ln x, and each interval takes its part of
+the panels it overlaps. A panel whose gap is not within 1e-8 of its
+integral of |f| is refitted as four quarter-width pieces at 1e-7. An
+interval over a piece that still fails, a non-finite one included, is
+redone as a run of its own; failing alone, it raises QuadratureError
+naming the interval.
 
 The open-ended entry points share one walker: unit-width log windows of
 two panels each, up to 7 per integrand call but taken one at a time,
@@ -170,23 +170,23 @@ _WINDOW_NODES = (np.array([[0.25], [0.75]]) + 0.25 * _NODES).ravel()
 _WINDOW_WEIGHTS = np.tile(0.25 * _WEIGHTS, 2)
 
 
-def _run_sums(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integrals of f over the touching [a_i, b_i] of one run from one fit
-    per panel. An interval over a piece no fit accepts is redone alone,
-    and alone raises QuadratureError."""
-    va, vb = np.log(a), np.log(b)
-    span = vb[-1] - va[0]
+def _run_sums(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """Integrals of f over [xs_i, xs_(i+1)] from one fit per panel of the
+    run. An interval over a piece no fit accepts is redone alone, and
+    alone raises QuadratureError."""
+    v = np.log(xs)
+    span = v[-1] - v[0]
     if span == 0.0:
-        return np.zeros(a.size)
+        return np.zeros(v.size - 1)
     n = math.ceil(span / _PANEL_WIDTH)
     width = span / n
     lefts, widths, coefs, integrals, failed, gaps = _pieces(
         _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x),  # dx = x dv
-        va[0] + width * np.arange(n), np.full(n, width))
-    if a.size == 1:
+        v[0] + width * np.arange(n), np.full(n, width))
+    if v.size == 2:
         if failed.size:
             raise QuadratureError(
-                f"panel integral on [{a[0]}, {b[0]}] failed to converge "
+                f"panel integral on [{xs[0]}, {xs[1]}] failed to converge "
                 f"(refined disagreement {gaps[0]:.3e})")
         return integrals.sum(keepdims=True)
     # to the highest degree any piece needs: k c_k is about half the
@@ -196,7 +196,8 @@ def _run_sums(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                               initial=0)]
     # pieces end where the next starts, tiling the run; an interval takes
     # its own ends in its first and last piece, the piece's edges between
-    rights = np.append(lefts[1:], vb[-1])
+    va, vb = v[:-1], v[1:]
+    rights = np.append(lefts[1:], v[-1])
     head = np.searchsorted(lefts, va, side="right") - 1
     tail = np.searchsorted(lefts, vb, side="left") - 1
     n_seg = tail - head + 1
@@ -210,38 +211,29 @@ def _run_sums(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sums = np.bincount(seg, (hi - lo) / half * slope, minlength=va.size)
     failed_before = np.bincount(failed + 1, minlength=lefts.size + 1).cumsum()
     for i in np.flatnonzero(failed_before[tail + 1] > failed_before[head]):
-        sums[i:i + 1] = _run_sums(f, a[i:i + 1], b[i:i + 1])
+        sums[i:i + 1] = _run_sums(f, xs[i:i + 2])
     return sums
 
 
 # a non-finite sum raises QuadratureError, so numpy's overflow warnings
 # from f would only repeat it (here and in _walk)
 @np.errstate(over="ignore", invalid="ignore")
-def fixed_panels(f: Callable, a, b):
-    """Integrate f over finite intervals [a, b], 0 < a <= b, elementwise
-    over arrays of endpoints; scalar endpoints give a float.
+def fixed_panels(f: Callable, xs) -> np.ndarray:
+    """Integrals of f over [xs_i, xs_(i+1)] for the ascending edges
+    0 < xs_0 <= xs_1 <= ... < inf of one run; one edge gives an empty
+    array.
 
-    Each run of touching intervals, b[i] == a[i + 1], a lone interval
-    being a run of one, is cut into the fewest equal panels at most 0.5
-    wide in ln x and fitted once per panel, the panel ends among the
-    nodes, so f is evaluated at each run's ends as exp(ln a), exp(ln b).
-    An interval over a panel no fit accepts is redone alone, and alone
+    The run is cut into the fewest equal panels at most 0.5 wide in
+    ln x and fitted once per panel, the panel ends among the nodes, so f
+    is evaluated at the run's ends as exp(ln xs_0), exp(ln xs_-1). An
+    interval over a panel no fit accepts is redone alone, and alone
     raises QuadratureError (see the module docstring).
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    bad = ~((0.0 < a) & (a <= b) & (b < math.inf))
-    if bad.any():
-        j = np.argmax(bad)
-        raise ValueError(f"need 0 < a <= b < inf, got [{a.flat[j]}, {b.flat[j]}]")
-    a, b = a.ravel(), b.ravel()
-    out = np.empty(a.size)
-    # a run starts where an interval does not start at the previous end
-    # (the first one: a > 0)
-    starts = np.flatnonzero(a != np.append(0.0, b[:-1])).tolist()
-    for i, j in zip(starts, starts[1:] + [a.size]):
-        out[i:j] = _run_sums(f, a[i:j], b[i:j])
-    return float(out[0]) if scalar else out.reshape(np.shape(bad))
+    xs = np.asarray(xs, dtype=float)
+    if not (xs.ndim == 1 and xs.size and 0.0 < xs[0] and xs[-1] < math.inf
+            and np.all(xs[:-1] <= xs[1:])):
+        raise ValueError(f"need 1-D ascending edges 0 < xs_0 <= ... < inf, got {xs}")
+    return _run_sums(f, xs)
 
 
 def _tail_estimate(last: float, prev: float, where: str) -> float:

@@ -49,6 +49,12 @@ _SCHEMA = {
     "output": {"path": str, "format": str},
 }
 
+# kind -> (factory, the config keys it takes as keyword arguments)
+_MODEL_KINDS = {"gbm": (gbm, ("alpha", "beta")),
+                "logistic": (logistic, ("alpha", "beta", "gamma"))}
+_PAYOFF_KINDS = {"power": (power, ("theta",)), "affine": (affine, ("slope",)),
+                 "saturating": (saturating, ("cap", "scale"))}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -65,49 +71,16 @@ class RunConfig:
     output: dict
 
     def build_spec(self) -> DiffusionSpec:
-        kind = _need(self.model, "model", "kind")
-        if kind == "custom":
+        if self.model.get("kind") == "custom":
             raise ConfigError(
                 "model.kind = custom needs drift/vol callables, which a "
                 "config file cannot express; use the library API instead")
-        if kind == "gbm":
-            used = {"kind", "alpha", "beta"}
-            build = lambda: gbm(alpha=_need(self.model, "model", "alpha"),
-                                beta=_need(self.model, "model", "beta"))
-        elif kind == "logistic":
-            used = {"kind", "alpha", "beta", "gamma"}
-            build = lambda: logistic(alpha=_need(self.model, "model", "alpha"),
-                                     beta=_need(self.model, "model", "beta"),
-                                     gamma=_need(self.model, "model", "gamma"))
-        else:
-            raise ConfigError(f"unknown model.kind {kind!r} "
-                              "(expected gbm, logistic, or custom)")
-        _reject_extra(self.model, "model", used, kind)
-        try:
-            return build()
-        except ValueError as e:
-            raise ConfigError(f"model: {e}") from None
+        return _build(self.model, "model", _MODEL_KINDS,
+                      "gbm, logistic, or custom")
 
     def build_payoff(self) -> Payoff:
-        kind = _need(self.payoff, "payoff", "kind")
-        if kind == "power":
-            used = {"kind", "theta"}
-            build = lambda: power(_need(self.payoff, "payoff", "theta"))
-        elif kind == "affine":
-            used = {"kind", "slope"}
-            build = lambda: affine(_need(self.payoff, "payoff", "slope"))
-        elif kind == "saturating":
-            used = {"kind", "cap", "scale"}
-            build = lambda: saturating(_need(self.payoff, "payoff", "cap"),
-                                       _need(self.payoff, "payoff", "scale"))
-        else:
-            raise ConfigError(f"unknown payoff.kind {kind!r} "
-                              "(expected power, affine, or saturating)")
-        _reject_extra(self.payoff, "payoff", used, kind)
-        try:
-            return build()
-        except ValueError as e:
-            raise ConfigError(f"payoff: {e}") from None
+        return _build(self.payoff, "payoff", _PAYOFF_KINDS,
+                      "power, affine, or saturating")
 
     def build_params(self) -> ProblemParams:
         h = self.build_payoff()
@@ -123,14 +96,12 @@ class RunConfig:
     def build_sim(self, formulation: Formulation) -> SimConfig:
         if "n_paths" not in self.sim:
             raise ConfigError("missing required config key 'sim.n_paths'")
+        # SimConfig's own defaults stand for the keys a config leaves out
+        kwargs = {key: self.sim[key] for key in
+                  ("n_paths", "seed", "dt", "horizon_T", "discount_floor")
+                  if key in self.sim}
         try:
-            return SimConfig(
-                n_paths=self.sim["n_paths"],
-                seed=self.sim.get("seed", 0),
-                dt=self.sim.get("dt", 0.01),
-                horizon_T=self.sim.get("horizon_T", 200.0),
-                discount_floor=self.sim.get("discount_floor", 1e-6),
-                formulation=formulation)
+            return SimConfig(formulation=formulation, **kwargs)
         except ValueError as e:
             raise ConfigError(f"sim: {e}") from None
 
@@ -158,11 +129,22 @@ def _need(section: dict, sect_name: str, key: str):
     return section[key]
 
 
-def _reject_extra(section: dict, sect_name: str, used: set, kind: str) -> None:
+def _build(section: dict, sect_name: str, kinds: dict, expected: str):
+    """What a section's kind builds: its factory in kinds, called on the
+    keys that kind takes; a section key it does not take is an error."""
+    kind = _need(section, sect_name, "kind")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {sect_name}.kind {kind!r} (expected {expected})")
+    factory, keys = kinds[kind]
     for key in section:
-        if key not in used:
+        if key != "kind" and key not in keys:
             raise ConfigError(f"config key '{sect_name}.{key}' does not apply "
                               f"to kind {kind!r}")
+    args = {key: _need(section, sect_name, key) for key in keys}
+    try:
+        return factory(**args)
+    except ValueError as e:
+        raise ConfigError(f"{sect_name}: {e}") from None
 
 
 def _cast(sect: str, key: str, value) -> object:
@@ -186,21 +168,35 @@ def _cast(sect: str, key: str, value) -> object:
                           f"as {caster.__name__}") from None
 
 
+class _JsonObject(dict):
+    """A decoded JSON object; repeated is its first repeated key, or None
+    (a plain dict would keep the last value silently)."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse flat key-value or JSON configuration text."""
     sections: dict[str, dict] = {name: {} for name in _SCHEMA}
     if text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON config: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError("JSON config must be an object of sections")
+        if raw.repeated is not None:
+            raise ConfigError(f"duplicate config section '{raw.repeated}'")
         for sect, body in raw.items():
             if sect not in _SCHEMA:
                 raise ConfigError(f"unknown config section '{sect}'")
             if not isinstance(body, dict):
                 raise ConfigError(f"config section '{sect}' must be an object")
+            if body.repeated is not None:
+                raise ConfigError(f"duplicate config key '{sect}.{body.repeated}'")
             for key, value in body.items():
                 sections[sect][key] = _cast(sect, key, value)
     else:

@@ -102,10 +102,10 @@ def _grid_integrals(basis: ExcessiveBasis, m_prime: Callable, h: Payoff,
     f_phi = _integrand(basis.phi, h, m_prime)
     i_lo = np.cumsum(np.concatenate((
         [integrate_to_zero(f_psi, xs[0], limit=lo_lim)],
-        fixed_panels(f_psi, xs[:-1], xs[1:]))))
+        fixed_panels(f_psi, xs))))
     i_hi = np.cumsum(np.concatenate((
         [integrate_to_inf(f_phi, xs[-1], limit=hi_lim)],
-        fixed_panels(f_phi, xs[:-1], xs[1:])[::-1])))[::-1]
+        fixed_panels(f_phi, xs)[::-1])))[::-1]
     return xs, i_lo, i_hi
 
 

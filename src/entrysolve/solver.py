@@ -41,6 +41,7 @@ like x*, is the same for every p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -89,6 +90,13 @@ class ProblemParams:
     h: Payoff
 
     def __post_init__(self):
+        if not isinstance(self.h, Payoff):
+            raise ValueError(f"payoff h must be a Payoff, got {self.h!r}")
+        for name in ("r", "lam", "p", "K", "C"):
+            value = getattr(self, name)
+            # bool is a Real too, but K=True is a slip
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.r < math.inf:
             raise ValueError(f"discount rate r must be positive and finite, got {self.r}")
         if not 0.0 < self.lam < math.inf:
@@ -227,7 +235,7 @@ def _threshold_objective(spec: DiffusionSpec, params: ProblemParams) -> Callable
         if anchor is None or x < anchor[0]:
             value = integrate_to_zero(f, x, limit=lo_lim)
         else:
-            value = anchor[1] + fixed_panels(f, anchor[0], x)
+            value = anchor[1] + float(fixed_panels(f, (anchor[0], x))[0])
         if value < 0.0 and (anchor is None or x > anchor[0]):
             anchor = (x, value)
         return value

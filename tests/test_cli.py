@@ -69,6 +69,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate config key 'economics.r'"):
             parse_config(FLAT + "economics.r = 0.2\n")
 
+    def test_json_duplicate_key(self):
+        text = '{"model": {"kind": "gbm", "alpha": 0.05, "alpha": 0.07, "beta": 0.25}}'
+        with pytest.raises(ConfigError, match="duplicate config key 'model.alpha'"):
+            parse_config(text)
+
+    def test_json_duplicate_section(self):
+        text = '{"model": {"kind": "gbm"}, "model": {"alpha": 0.05}}'
+        with pytest.raises(ConfigError, match="duplicate config section 'model'"):
+            parse_config(text)
+
+    def test_json_duplicate_key_is_exit_2(self, tmp_path, capsys):
+        text = AS_JSON.replace('"p": 0.5', '"p": 0.5, "p": 0.6')
+        assert main(["solve", "--config", write(tmp_path, text)]) == 2
+        assert "duplicate config key 'economics.p'" in capsys.readouterr().err
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'economics.q'"):
             parse_config(FLAT + "economics.q = 1\n")
@@ -130,6 +145,12 @@ class TestBuilders:
         config = parse_config(FLAT.replace("economics.p = 0.5\n", ""))
         with pytest.raises(ConfigError, match="'economics.p'"):
             config.build_params()
+
+    def test_missing_model_key(self):
+        config = parse_config(FLAT.replace("model.beta = 0.25\n", ""))
+        with pytest.raises(ConfigError) as caught:
+            config.build_spec()
+        assert str(caught.value) == "missing required config key 'model.beta'"
 
     def test_payoff_kind_argument_mismatch(self):
         config = parse_config(FLAT + "payoff.cap = 3\n")

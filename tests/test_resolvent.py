@@ -220,14 +220,10 @@ class TestIntegrability:
         def f(t):
             return np.where((t > 2.0) & (t < 3.0), np.nan, 1.0 / t)
 
-        a, b = np.array([1.0, 3.0, 2.0, 4.0]), np.array([2.0, 4.0, 3.0, 5.0])
         with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
-            fixed_panels(f, a, b)
-        with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
-            fixed_panels(f, 2.0, 3.0)
-        np.testing.assert_allclose(fixed_panels(f, a[:2], b[:2]),
-                                   np.log(b[:2] / a[:2]), rtol=1e-14)
-        assert isinstance(fixed_panels(f, 3.0, 4.0), float)
+            fixed_panels(f, [2.0, 3.0])
+        for a, b in ((1.0, 2.0), (3.0, 4.0)):
+            np.testing.assert_allclose(fixed_panels(f, [a, b]), [math.log(b / a)], rtol=1e-14)
 
     def test_infinite_node_value_is_not_summed(self):
         # +inf at one interior node: the panel's gap and its mass of |f|
@@ -239,10 +235,10 @@ class TestIntegrability:
             nodes.append(t.copy())
             return 1.0 / t
 
-        fixed_panels(record, 1.0, 1.5)
-        for a, b in ((1.0, 1.5), (np.array([1.0, 1.2]), np.array([1.2, 1.5]))):
-            got = fixed_panels(lambda t: np.where(t == nodes[0][5], np.inf, 1.0 / t), a, b)
-            np.testing.assert_allclose(got, np.log(np.divide(b, a)), rtol=1e-14)
+        fixed_panels(record, [1.0, 1.5])
+        for xs in (np.array([1.0, 1.5]), np.array([1.0, 1.2, 1.5])):
+            got = fixed_panels(lambda t: np.where(t == nodes[0][5], np.inf, 1.0 / t), xs)
+            np.testing.assert_allclose(got, np.log(xs[1:] / xs[:-1]), rtol=1e-14)
 
     def test_same_payoff_fine_at_higher_rate(self, basis11):
         got = resolvent(basis11, m_prime, power(2.0), 2.0)
@@ -262,7 +258,7 @@ class TestPanelRule:
             widths.append(len(x))
             return 1.0 / x
 
-        assert fixed_panels(f, 2.0, 3.0) == pytest.approx(math.log(1.5), rel=1e-14)
+        assert fixed_panels(f, [2.0, 3.0])[0] == pytest.approx(math.log(1.5), rel=1e-14)
         assert widths == [33]
 
     @pytest.mark.parametrize("s", [-3.2, -0.5, 0.7, 2.9])
@@ -272,7 +268,7 @@ class TestPanelRule:
         a = 0.5
         width = np.array([0.01, 0.1, 0.45, 0.7, 1.0, 2.2, 3.0])
         b = a * np.exp(width)
-        got = fixed_panels(lambda x: x ** (s - 1.0), np.full(b.size, a), b)
+        got = [fixed_panels(lambda x: x ** (s - 1.0), [a, bi])[0] for bi in b]
         want = a ** s * np.expm1(s * (np.log(b) - np.log(a))) / s
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
@@ -311,19 +307,23 @@ class TestRuns:
                                 np.full(3, 1e-11), [0.7]))
         for xs in (0.3 * np.exp(np.cumsum(np.append(0.0, rng.permutation(steps)))),
                    np.geomspace(0.05, 50.0, 2000)):
-            got = fixed_panels(lambda x: x ** (s - 1.0), xs[:-1], xs[1:])
+            got = fixed_panels(lambda x: x ** (s - 1.0), xs)
             np.testing.assert_allclose(got, self.powers(s, xs[:-1], xs[1:]), rtol=1e-14)
 
-    def test_mixed_runs_and_single_intervals(self):
-        # two runs, the second overlapping the first, two lone intervals
-        # and an empty one: each lone integral as if asked for alone
-        a = np.array([1.0, 1.5, 2.5, 0.7, 1.2, 9.0, 3.0, 3.5])
-        b = np.array([1.5, 2.5, 4.0, 0.9, 1.2, 9.5, 3.5, 7.0])
-        got = fixed_panels(lambda x: 1.0 / x, a, b)
-        np.testing.assert_allclose(got, np.log(b / a), rtol=1e-14, atol=0.0)
-        assert got[4] == 0.0
-        for i in (3, 5):
-            assert got[i] == fixed_panels(lambda x: 1.0 / x, a[i], b[i])
+    def test_zero_width_interval_in_a_run(self):
+        xs = np.array([1.0, 1.5, 2.5, 2.5, 4.0])
+        got = fixed_panels(lambda x: 1.0 / x, xs)
+        np.testing.assert_allclose(got, np.log(xs[1:] / xs[:-1]), rtol=1e-14, atol=0.0)
+        assert got[2] == 0.0
+
+    def test_edges_are_validated(self):
+        for xs in ([2.0, 1.0], [1.0, 3.0, 2.0], [0.0, 1.0], [-1.0, 1.0],
+                   [1.0, math.inf], [1.0, math.nan, 2.0], [math.nan],
+                   [[1.0, 2.0], [2.0, 3.0]], []):
+            with pytest.raises(ValueError, match="ascending edges"):
+                fixed_panels(lambda x: 1.0 / x, xs)
+        got = fixed_panels(lambda x: 1.0 / x, [2.0])
+        assert got.shape == (0,)
 
     def test_calls_cover_the_run_not_each_interval(self):
         widths = []
@@ -333,7 +333,7 @@ class TestRuns:
             return 1.0 / x
 
         xs = np.geomspace(1.0, np.e, 201)
-        np.testing.assert_allclose(fixed_panels(f, xs[:-1], xs[1:]),
+        np.testing.assert_allclose(fixed_panels(f, xs),
                                    np.diff(np.log(xs)), rtol=1e-14)
         assert widths == [2 * 33]
 
@@ -343,7 +343,7 @@ class TestRuns:
             return np.where((t > 2.0) & (t < 3.0), np.nan, 1.0 / t)
 
         with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
-            fixed_panels(f, np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0]))
+            fixed_panels(f, [1.0, 2.0, 3.0, 4.0])
 
     def test_intervals_over_a_failed_panel_are_redone_alone(self):
         # the kink at 2.7 fails its panel at quarter width too, but it is
@@ -352,7 +352,7 @@ class TestRuns:
         # [a, a e^w] on the quadrature's log-width w
         xs = np.union1d(np.geomspace(1.0, 9.0, 41), [2.7])
         a, b = xs[:-1], xs[1:]
-        got = fixed_panels(lambda x: np.abs(x - 2.7) + 1.0, a, b)
+        got = fixed_panels(lambda x: np.abs(x - 2.7) + 1.0, xs)
         w, s = np.log(b) - np.log(a), np.sign(a + b - 5.4)
         want = s * a * a * np.expm1(2.0 * w) / 2.0 + (1.0 - 2.7 * s) * a * np.expm1(w)
         np.testing.assert_allclose(got, want, rtol=1e-14)

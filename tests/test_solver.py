@@ -79,6 +79,17 @@ class TestParams:
         with pytest.raises(ValueError):
             replace(PARAMS, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", lambda x: x), ("h", None), ("K", True), ("C", False), ("r", "0.1"),
+        ("lam", None), ("p", 1j)])
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(PARAMS, **{field: value})
+
+    def test_accepts_numpy_numbers(self):
+        params = replace(PARAMS, r=np.float64(0.1), K=np.int64(1))
+        assert params.break_even == PARAMS.break_even
+
 
 class TestViability:
     def test_bounded_payoff_below_break_even(self):
