@@ -349,8 +349,7 @@ def cmd_curve(config: RunConfig, x_min: Optional[float] = None,
         tag = f"[p={p:g}]"
         columns += [f"G_i{tag}", f"G_a{tag}",
                     f"branch_lower{tag}", f"branch_upper{tag}"]
-        data += [sol.value_idle(grid), sol.value_active(grid),
-                 sol.branch_lower(grid), sol.branch_upper(grid)]
+        data += list(sol.table(grid).values())
     rows = [[float(col[i]) for col in data] for i in range(grid.size)]
     if out_fmt == "json":
         return _json_table(columns, rows)

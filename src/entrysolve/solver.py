@@ -27,7 +27,8 @@ p leaking into the threshold equation. An audit independent of F is an
 open item in ROADMAP.md.
 
 The three coefficients are projections of the net flow h - kappa on
-the eigenfunctions on either side of x*, one tail integral each:
+the eigenfunctions on either side of x*, one tail integral each; c_i1
+and d_i2 are the resolvent integrals I_hi and -I_lo at x* over W_i:
 
     c_i1 =  W_i^-1 integral_x*^inf phi_i (h - kappa) m',
     d_i2 = -W_i^-1 integral_0^x*   psi_i (h - kappa) m',
@@ -37,6 +38,11 @@ c_i1 psi_i - d_i2 phi_i is R_i(h - kappa) at x*, so continuity of the
 active value at x* leaves c_a1 = -R_a(h - kappa)(x*) / psi_a(x*), whose
 part below x* is F(x*) = 0. So c_a1 involves only the active rate and,
 like x*, is the same for every p.
+
+One column evaluator per mode writes each value branch once: V_i is
+c_i1 psi_i below x* and R_i h - kappa/rho_i + d_i2 phi_i above; V_a is
+that plus K above and R_a h - C/rho_a + c_i1 psi_i + c_a1 psi_a below.
+A Solution callable sweeps only the states its own column needs.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,7 +60,8 @@ from ._quad import fixed_panels, integrate_to_inf, integrate_to_zero
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
 from .errors import NumericsError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
-from .resolvent import _integrand, _limits, _resolvent_values, resolvent_on_grid
+from .resolvent import (_grid_integrals, _integrand, _limits, _resolvent_values,
+                         resolvent_on_grid)
 # unused; perfbench/tracing.py patches these names
 from .resolvent import resolvent, resolvent_prime  # noqa: F401
 
@@ -149,7 +156,8 @@ class Solution:
     extended to the whole state space (c_i1 psi everywhere, resp.
     the resolvent branch everywhere); they cross tangentially at x*
     and are what threshold plots draw. Both return nan in NEVER_ENTER
-    mode.
+    mode. Each of the four sweeps only the states its own column needs;
+    table(x) returns all four in a dict, in field order, one sweep per rate.
     """
 
     mode: Mode
@@ -161,6 +169,7 @@ class Solution:
     value_active: Callable[[np.ndarray], np.ndarray]
     branch_lower: Callable[[np.ndarray], np.ndarray]
     branch_upper: Callable[[np.ndarray], np.ndarray]
+    table: Callable[[np.ndarray], dict]
     diagnostics: Diagnostics
     spec: DiffusionSpec
     params: ProblemParams
@@ -304,16 +313,13 @@ def _coefs_from_bases(params: ProblemParams, m_prime: Callable, x_star: float,
                       basis_i: ExcessiveBasis,
                       basis_a: ExcessiveBasis) -> tuple[float, float, float]:
     net = _net_flow(params)
-    lo_i, hi_i = _limits(basis_i)
-    _, hi_a = _limits(basis_a)
-    c_i1 = integrate_to_inf(_integrand(basis_i.phi, net, m_prime), x_star,
-                            limit=hi_i) / basis_i.wronskian
-    d_i2 = -integrate_to_zero(_integrand(basis_i.psi, net, m_prime), x_star,
-                              limit=lo_i) / basis_i.wronskian
+    _, i_lo, i_hi = _grid_integrals(basis_i, m_prime, net, [x_star])
+    c_i1 = i_hi[0] / basis_i.wronskian
+    d_i2 = -i_lo[0] / basis_i.wronskian
     if not c_i1 > 0.0:
         raise NumericsError(f"entry coefficient c_i1 = {c_i1:.3e} is not positive")
     c_a1 = -integrate_to_inf(_integrand(basis_a.phi, net, m_prime), x_star,
-                             limit=hi_a) / basis_a.wronskian
+                             limit=_limits(basis_a)[1]) / basis_a.wronskian
     return float(c_i1), float(d_i2), float(c_a1)
 
 
@@ -331,20 +337,34 @@ def coefficients(spec: DiffusionSpec, params: ProblemParams,
                              basis_i, basis_a)
 
 
-def _piecewise(x, x_star: float, below: Callable, above: Callable):
-    """Evaluate branch callables on the two sides of x_star; each
-    receives a sorted unique grid and returns aligned values."""
-    scalar = np.ndim(x) == 0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+def _piecewise(x, columns: Callable, names: tuple) -> dict:
+    """The named columns at states x: columns(grid, names) on the
+    ascending unique states, each column shaped like x (a float for a
+    scalar x)."""
+    x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr > 0.0) & (x_arr < math.inf)):
         raise ValueError("state values must be positive and finite")
-    out = np.empty_like(x_arr)
-    lo_mask = x_arr < x_star
-    for mask, fn in ((lo_mask, below), (~lo_mask, above)):
-        if np.any(mask):
-            grid, inv = np.unique(x_arr[mask], return_inverse=True)
-            out[mask] = fn(grid)[inv]
-    return float(out[0]) if scalar else out
+    grid, inv = np.unique(x_arr.ravel(), return_inverse=True)
+    cast = float if x_arr.ndim == 0 else np.asarray
+    return {name: cast(col[inv].reshape(x_arr.shape))
+            for name, col in columns(grid, names).items()}
+
+
+def _evaluators(columns: Callable) -> dict:
+    """Solution's callables over columns(grid, names): each value
+    function asks for its own column alone, table for all four."""
+    names = ("value_idle", "value_active", "branch_lower", "branch_upper")
+
+    def column(name):
+        return lambda x: _piecewise(x, columns, (name,))[name]
+
+    return {**{name: column(name) for name in names},
+            "table": lambda x: _piecewise(x, columns, names)}
+
+
+def _on(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """fn(xs), not called for no states (custom bases reject them)."""
+    return fn(xs) if xs.size else xs
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -360,92 +380,71 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
     the value functions must not change under psi -> const * psi.
     """
     m_prime = partial(speed_density, spec)
-    kappa = params.break_even
     h = params.h
-    rho_i, rho_a = params.rho_idle, params.rho_active
     c_i1, d_i2, c_a1 = _coefs_from_bases(params, m_prime, x_star, basis_i, basis_a)
 
-    def idle_below(grid):
-        return c_i1 * basis_i.psi(grid)
+    def lower(xs):
+        return c_i1 * basis_i.psi(xs)
 
-    def idle_above(grid):
-        vals = _resolvent_values(basis_i, m_prime, h, grid)
-        return vals - kappa / rho_i + d_i2 * basis_i.phi(grid)
+    def upper(xs, rh=None):
+        if rh is None:
+            rh = _resolvent_values(basis_i, m_prime, h, xs)
+        return rh - params.break_even / params.rho_idle + d_i2 * basis_i.phi(xs)
 
-    def active_below(grid):
-        vals = _resolvent_values(basis_a, m_prime, h, grid)
-        return (vals - params.C / rho_a
-                + c_i1 * basis_i.psi(grid) + c_a1 * basis_a.psi(grid))
+    def columns(grid, names):
+        # a branch spans the grid for its own column, else its side of x*
+        k = int(np.searchsorted(grid, x_star))
+        j = 0 if "branch_upper" in names else k
+        low = cache(lambda: _on(lower, grid[:grid.size if "branch_lower" in names else k]))
+        up = cache(lambda: _on(upper, grid[j:]))
 
-    def active_above(grid):
-        vals = _resolvent_values(basis_i, m_prime, h, grid)
-        return (vals - (params.C + params.K * params.p * params.lam) / rho_i
-                + d_i2 * basis_i.phi(grid))
+        def active_below(xs):
+            return (_resolvent_values(basis_a, m_prime, h, xs) - params.C / params.rho_active
+                    + low()[:k] + c_a1 * basis_a.psi(xs))
 
-    def value_idle_fn(x):
-        return _piecewise(x, x_star, idle_below, idle_above)
-
-    def value_active_fn(x):
-        return _piecewise(x, x_star, active_below, active_above)
-
-    def branch_lower_fn(x):
-        return _piecewise(x, math.inf, idle_below, idle_below)
-
-    def branch_upper_fn(x):
-        return _piecewise(x, math.inf, idle_above, idle_above)
+        make = {"value_idle": lambda: np.concatenate((low()[:k], up()[k - j:])),
+                "value_active": lambda: np.concatenate((_on(active_below, grid[:k]),
+                                                        up()[k - j:] + params.K)),
+                "branch_lower": low, "branch_upper": up}
+        return {name: make[name]() for name in names}
 
     # every diagnostic from one idle-rate sweep, with x* as a node:
     # the two idle branches and their slopes at x*, and R_i h - V_i
     grid = np.union1d(np.geomspace(x_star / 25.0, 4.0 * x_star, 48), x_star)
     k = int(np.searchsorted(grid, x_star))
     rh, rh_prime = resolvent_on_grid(basis_i, m_prime, h, grid)
-    lower = idle_below(grid)
-    upper = rh - kappa / rho_i + d_i2 * basis_i.phi(grid)
+    lo, up = lower(grid), upper(grid, rh)
     at = grid[k:k + 1]
-    lower_s = c_i1 * basis_i.psi_prime(at)[0]
-    upper_s = rh_prime[k] + d_i2 * basis_i.phi_prime(at)[0]
-    v_idle = np.where(grid < x_star, lower, upper)
-
+    v_idle = np.where(grid < x_star, lo, up)
     diags = Diagnostics(
-        pasting_gap_value=_relative_gap(lower[k], upper[k]),
-        pasting_gap_slope=_relative_gap(lower_s, upper_s),
+        pasting_gap_value=_relative_gap(lo[k], up[k]),
+        pasting_gap_slope=_relative_gap(c_i1 * basis_i.psi_prime(at)[0],
+                                        rh_prime[k] + d_i2 * basis_i.phi_prime(at)[0]),
         growth_margin=float(np.min((rh - v_idle) / np.maximum(rh, 1e-300))),
         root_residual=abs(root_residual))
     return Solution(
-        mode=Mode.THRESHOLD, x_star=x_star,
-        c_i1=c_i1, d_i2=d_i2, c_a1=c_a1,
-        value_idle=value_idle_fn, value_active=value_active_fn,
-        branch_lower=branch_lower_fn, branch_upper=branch_upper_fn,
-        diagnostics=diags, spec=spec, params=params)
+        mode=Mode.THRESHOLD, x_star=x_star, c_i1=c_i1, d_i2=d_i2, c_a1=c_a1,
+        **_evaluators(columns), diagnostics=diags, spec=spec, params=params)
 
 
 def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solution:
     basis_a = excessive_basis(spec, params.rho_active)
     m_prime = partial(speed_density, spec)
-
-    def value_idle_fn(x):
-        return _piecewise(x, math.inf, np.zeros_like, np.zeros_like)
-
-    def active_fn(grid):
-        return (_resolvent_values(basis_a, m_prime, params.h, grid)
-                - params.C / params.rho_active)
-
-    def value_active_fn(x):
-        return _piecewise(x, math.inf, active_fn, active_fn)
-
     nan = float("nan")
-    nan_fn = partial(np.full_like, fill_value=nan)
+    nan_like = partial(np.full_like, fill_value=nan)
 
-    def branch_nan(x):
-        return _piecewise(x, math.inf, nan_fn, nan_fn)
+    def active(xs):
+        return _resolvent_values(basis_a, m_prime, params.h, xs) - params.C / params.rho_active
 
-    diags = Diagnostics(nan, nan, nan, nan)
+    def columns(grid, names):
+        make = {"value_idle": np.zeros_like, "value_active": partial(_on, active),
+                "branch_lower": nan_like, "branch_upper": nan_like}
+        return {name: make[name](grid) for name in names}
+
     return Solution(
-        mode=Mode.NEVER_ENTER, x_star=None,
-        c_i1=nan, d_i2=nan, c_a1=nan,
-        value_idle=value_idle_fn, value_active=value_active_fn,
-        branch_lower=branch_nan, branch_upper=branch_nan,
-        diagnostics=diags, spec=spec, params=params)
+        mode=Mode.NEVER_ENTER, x_star=None, c_i1=nan, d_i2=nan, c_a1=nan,
+        **_evaluators(columns), diagnostics=Diagnostics(nan, nan, nan, nan),
+        spec=spec, params=params)
 
 
 def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:

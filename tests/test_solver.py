@@ -5,6 +5,7 @@ beta=0.25 linear-drift model with r=0.1, lambda=1, K=C=1. All frozen
 numbers were produced by an independent 40-digit mpmath implementation
 of the defining integrals, not by this package.
 """
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -415,6 +416,119 @@ class TestNeverEnterSolution:
     def test_branches_are_nan(self, ne):
         assert math.isnan(float(ne.branch_lower(2.0)))
         assert np.all(np.isnan(ne.branch_upper(np.array([1.0, 6.0]))))
+
+
+COLUMNS = ("value_idle", "value_active", "branch_lower", "branch_upper")
+
+
+def count_sweeps(monkeypatch) -> list:
+    """A list that grows by one per resolvent._grid_integrals call."""
+    module = importlib.import_module("entrysolve.resolvent")
+    calls, sweep = [], module._grid_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_grid_integrals", counted)
+    return calls
+
+
+def curve_grid(x_star):
+    return np.union1d(np.linspace(x_star / 50.0, 2.0 * x_star, 201), x_star)
+
+
+class TestTable:
+    def test_one_sweep_per_rate(self, sol, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        table = sol.table(curve_grid(sol.x_star))
+        assert len(calls) == 2
+        assert tuple(table) == COLUMNS
+
+    def test_never_enter_sweeps_once(self, ne, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        table = ne.table(np.geomspace(0.5, 20.0, 30))
+        assert len(calls) == 1
+        assert tuple(table) == COLUMNS
+
+    @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2), LOG_MR],
+                             ids=["gbm", "logistic", "custom"])
+    def test_matches_the_column_callables(self, spec):
+        # table sweeps R_i h over the whole grid, value_idle and
+        # value_active over the states above x* only: the panel fits
+        # differ, so the columns agree to rounding, not bit for bit
+        solution = solve(spec, PARAMS)
+        grid = curve_grid(solution.x_star)
+        table = solution.table(grid)
+        for name in COLUMNS:
+            want = getattr(solution, name)(grid)
+            assert np.max(np.abs(table[name] - want)) <= 1e-13 * np.max(np.abs(want)), name
+        np.testing.assert_array_equal(table["branch_lower"], solution.branch_lower(grid))
+
+
+class TestColumnSweeps:
+    # each callable sweeps only the states its own column needs
+    @pytest.mark.parametrize("name, side, sweeps", [
+        ("branch_lower", "all", 0), ("value_idle", "below", 0),
+        ("value_idle", "above", 1), ("branch_upper", "all", 1),
+        ("value_active", "below", 1), ("value_active", "above", 1),
+        ("value_active", "all", 2)])
+    def test_threshold(self, sol, monkeypatch, name, side, sweeps):
+        grid = curve_grid(sol.x_star)
+        xs = {"below": grid[grid < sol.x_star], "above": grid[grid >= sol.x_star],
+              "all": grid}[side]
+        calls = count_sweeps(monkeypatch)
+        getattr(sol, name)(xs)
+        assert len(calls) == sweeps
+
+    @pytest.mark.parametrize("name, sweeps", [
+        ("value_idle", 0), ("value_active", 1), ("branch_lower", 0), ("branch_upper", 0)])
+    def test_never_enter(self, ne, monkeypatch, name, sweeps):
+        calls = count_sweeps(monkeypatch)
+        getattr(ne, name)(np.geomspace(0.5, 20.0, 30))
+        assert len(calls) == sweeps
+
+
+@pytest.fixture(scope="module")
+def custom_sol():
+    return solve(LOG_MR, PARAMS)
+
+
+class TestInputShapes:
+    # a custom basis rejects empty arrays, so no column may evaluate one
+    @pytest.fixture(params=["threshold", "never_enter", "custom"])
+    def solution(self, request, sol, ne, custom_sol):
+        return {"threshold": sol, "never_enter": ne, "custom": custom_sol}[request.param]
+
+    @staticmethod
+    def columns(solution, name, x) -> dict:
+        out = getattr(solution, name)(x)
+        return out if name == "table" else {name: out}
+
+    @pytest.mark.parametrize("name", COLUMNS + ("table",))
+    def test_empty_array(self, solution, name):
+        for col in self.columns(solution, name, np.array([])).values():
+            assert isinstance(col, np.ndarray) and col.shape == (0,)
+
+    @pytest.mark.parametrize("name", COLUMNS + ("table",))
+    def test_two_dimensional_array_keeps_its_shape(self, solution, name):
+        x_star = solution.x_star or 4.0
+        xs = np.array([[2.0, x_star, 8.0], [3.0, 2.0, 1.5 * x_star]])
+        flat = self.columns(solution, name, xs.ravel())
+        for key, col in self.columns(solution, name, xs).items():
+            assert col.shape == (2, 3)
+            np.testing.assert_array_equal(col, flat[key].reshape(2, 3))
+
+    @pytest.mark.parametrize("name", COLUMNS + ("table",))
+    def test_scalar_gives_a_float(self, solution, name):
+        for col in self.columns(solution, name, 2.0).values():
+            assert type(col) is float
+
+    @pytest.mark.parametrize("name", COLUMNS + ("table",))
+    def test_non_positive_state_raises(self, solution, name):
+        for x in (0.0, -1.0, math.nan, np.array([1.0, -3.0])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                getattr(solution, name)(x)
 
 
 class TestEdgeProbabilities:
