@@ -14,7 +14,9 @@ Three kinds are supported:
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
     numerically from a Riccati equation for s = (ln u)' on the log axis,
     each in one stiff LSODA shot with the analytic Jacobian across
-    |ln x| <= 30, from the end where it vanishes. One table type
+    |ln x| <= 30, from the end where it vanishes, when the basis is
+    built. That span, x_lo = e^-30 to x_hi = e^30, is where such a basis
+    is defined: outside it the basis raises. One table type
     (_PanelTable) then serves both ln u and the exponent B of the scale
     and speed densities, as antiderivatives from x = 1 of s and of
     2 x drift / vol^2: _quad's Chebyshev fits on half-unit panels of
@@ -38,7 +40,6 @@ from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
 _SPAN = 30.0
-_SPAN_HARD_CAP = 34.0
 _SHOT_BUFFER = 2.0
 # two models' (rho_idle, rho_active) pairs
 _CUSTOM_CACHE_SIZE = 4
@@ -292,8 +293,8 @@ class ExcessiveBasis:
     limit rather than 0. The wronskian is
     (psi' phi - phi' psi) / S', constant in x.
 
-    x_lo and x_hi bound the interval on which numerically built bases
-    are certified; closed-form bases use (0, inf).
+    x_lo and x_hi bound where a numeric basis is defined (it raises
+    ConstructionError outside them); closed-form bases use (0, inf).
     """
 
     rho: float
@@ -380,7 +381,8 @@ class _RiccatiCore:
     started on the local root of s^2 - (1 - q) s - r = 0 that it tends
     to. Each branch keeps a _PanelTable of s, sampled from the shot's
     dense output as states reach new panels, and u = exp(integral_0^v s),
-    so u(1) = 1. A re-shoot over a wider span starts new tables.
+    so u(1) = 1. The shot spans ln x in [-30, 30] and runs once, at
+    construction; a state outside [x_lo, x_hi] = [e^-30, e^30] raises.
     """
 
     def __init__(self, spec: DiffusionSpec, rho: float):
@@ -442,22 +444,15 @@ class _RiccatiCore:
             64.0 * np.finfo(float).eps, f"(ln {which})'", round(v_hi / _PANEL_WIDTH))
             for which, branch in (("psi", up), ("phi", down))}
         self.v_lo, self.v_hi = v_lo, v_hi
-
-    def _ensure(self, v_min: float, v_max: float) -> None:
-        if v_min >= self.v_lo and v_max <= self.v_hi:
-            return
-        if v_min < -_SPAN_HARD_CAP or v_max > _SPAN_HARD_CAP:
-            raise ConstructionError(
-                f"state outside supported range [{math.exp(-_SPAN_HARD_CAP):.3g}, "
-                f"{math.exp(_SPAN_HARD_CAP):.3g}]")
-        self._shoot(min(self.v_lo, math.floor(v_min - 1.0)),
-                    max(self.v_hi, math.ceil(v_max + 1.0)))
+        self.x_lo, self.x_hi = math.exp(v_lo), math.exp(v_hi)
 
     def eval(self, x: np.ndarray, which: str, deriv: bool) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         _check_states(x)
         v = np.log(x).ravel()
-        self._ensure(float(np.min(v)), float(np.max(v)))
+        if v.size and not (float(np.min(v)) >= self.v_lo and float(np.max(v)) <= self.v_hi):
+            raise ConstructionError(
+                f"state outside supported range [{self.x_lo:.3g}, {self.x_hi:.3g}]")
         if deriv:
             w, s = self._tables[which](v, slope=True)
             out = np.exp(w) * s / x.ravel()
@@ -477,8 +472,7 @@ def _custom_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
         phi_prime=lambda x: core.eval(x, "phi", True),
         wronskian=core.wronskian,
         scale=lambda x: scale_density(spec, x),
-        x_lo=math.exp(core.v_lo),
-        x_hi=math.exp(core.v_hi))
+        x_lo=core.x_lo, x_hi=core.x_hi)
 
 
 @lru_cache(maxsize=128)

@@ -252,8 +252,9 @@ def _log_stepper(spec: DiffusionSpec):
 def _simulate_block(spec, params, thresholds, start_flags, x0, cfg, blocks):
     """Simulate a group of consecutive blocks side by side: blocks is a
     range of block indices, or one index for a group of one. Returns
-    one dict for the group; its per-block entries are lists in block
-    order, each reduced over that block's own used columns."""
+    one dict for the group; its per-block entries are arrays with one
+    row per block in block order, each reduced over that block's own
+    used columns."""
     if not isinstance(blocks, range):
         blocks = range(blocks, blocks + 1)
     full = cfg.formulation is Formulation.FULL
@@ -394,20 +395,15 @@ def _simulate_block(spec, params, thresholds, start_flags, x0, cfg, blocks):
         dealer.release(int(ptr.min()))
     totals[:, lane], fees[:, lane], entries[:, lane] = tot, fee, ent
 
-    res = {key: [] for key in _SUM_KEYS + ("dead",)}
-    for i, b in enumerate(blocks):
-        lo = i * _BLOCK
-        hi = lo + min(_BLOCK, cfg.n_paths - b * _BLOCK)
-        v = totals[:, lo:hi]
-        res["sum_v"].append(v.sum(axis=1))
-        res["sum_sq"].append((v ** 2).sum(axis=1))
-        res["sum_entries"].append(entries[:, lo:hi].sum(axis=1).astype(float))
-        res["sum_fees"].append(fees[:, lo:hi].sum(axis=1))
-        # in FULL the lanes left in the working set are the survivors
-        alive = np.searchsorted(lane, hi) - np.searchsorted(lane, lo)
-        res["dead"].append(float(hi - lo - alive) if full else math.nan)
+    lo = _BLOCK * np.arange(len(blocks))
+    hi = lo + np.minimum(_BLOCK, cfg.n_paths - _BLOCK * np.asarray(blocks))
+    sums = {key: np.array([a[:, i:j].sum(axis=1) for i, j in zip(lo, hi)], dtype=float)
+            for key, a in zip(_SUM_KEYS, (totals, totals ** 2, entries, fees))}
+    # in FULL the lanes left in the working set are the survivors
+    alive = np.searchsorted(lane, hi) - np.searchsorted(lane, lo)
     return dict(
-        res, t_max=t_max, rho=rho,
+        sums, dead=(hi - lo - alive).astype(float) if full else np.full(len(blocks), math.nan),
+        t_max=t_max, rho=rho,
         # work over the whole group width, padding lanes included
         path_substeps=substeps, jumps=n_jumps,
         noise_rows_drawn=dealer.rows_drawn,
@@ -476,33 +472,24 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
         raise ValueError("one start flag is required per threshold row")
     n = cfg.n_paths
     n_blocks = (n + _BLOCK - 1) // _BLOCK
-    nt = len(thresholds)
-    parts = {key: [[] for _ in range(nt)] for key in _SUM_KEYS}
-    dead_parts: list[float] = []
-    work = dict.fromkeys(_WORK_KEYS, 0)
-    t_max = rho = 0.0
-    job = (spec, params, thresholds, start_flags, x0, cfg)
-    for out in _map_blocks(job, n_blocks):
-        for key in parts:
-            for block_sums in out[key]:
-                for i in range(nt):
-                    parts[key][i].append(float(block_sums[i]))
-        dead_parts += out["dead"]
-        for key in work:
-            work[key] += out[key]
-        t_max, rho = out["t_max"], out["rho"]
+    outs = _map_blocks((spec, params, thresholds, start_flags, x0, cfg), n_blocks)
+    sums = {key: [math.fsum(col) for col in np.concatenate([out[key] for out in outs]).T]
+            for key in _SUM_KEYS}
+    dead = math.fsum(np.concatenate([out["dead"] for out in outs]))
+    work = {key: sum(out[key] for out in outs) for key in _WORK_KEYS}
+    t_max, rho = outs[-1]["t_max"], outs[-1]["rho"]
 
     full = cfg.formulation is Formulation.FULL
     fee_bound = params.K * params.rho_active / params.rho_idle
     results = []
     for i, th in enumerate(thresholds):
-        mean = math.fsum(parts["sum_v"][i]) / n
+        mean = sums["sum_v"][i] / n
         if n > 1:
-            var = (math.fsum(parts["sum_sq"][i]) - n * mean * mean) / (n - 1)
+            var = (sums["sum_sq"][i] - n * mean * mean) / (n - 1)
             stderr = math.sqrt(max(var, 0.0) / n)
         else:
             stderr = 0.0
-        mean_fees = math.fsum(parts["sum_fees"][i]) / n
+        mean_fees = sums["sum_fees"][i] / n
         probe = 4.0 * max(x0, th if math.isfinite(th) else x0, 1.0)
         bias = math.exp(-rho * t_max) \
             * float(params.h(np.asarray([probe]))[0]) / rho
@@ -523,8 +510,8 @@ def _run_policy(spec: DiffusionSpec, params: ProblemParams, thresholds,
         }
         results.append(PolicyEstimate(
             mean=mean, stderr=stderr, n_paths=n,
-            n_entries_mean=math.fsum(parts["sum_entries"][i]) / n,
-            catastrophe_fraction=(math.fsum(dead_parts) / n) if full else math.nan,
+            n_entries_mean=sums["sum_entries"][i] / n,
+            catastrophe_fraction=(dead / n) if full else math.nan,
             metadata=metadata))
     return results
 

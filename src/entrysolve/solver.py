@@ -200,6 +200,9 @@ def _break_even_state(params: ProblemParams) -> float:
                 f"payoff cap {cap:g} never exceeds break-even flow {kappa:g}")
         return -math.log1p(-kappa / cap) / scale
     lo, hi = 1e-13, 1e-13
+    if float(h(np.asarray([lo]))[0]) > kappa:
+        raise ValueError(f"payoff exceeds the break-even flow kappa={kappa:g} already "
+                         f"at x={lo:g}; a custom payoff must vanish at zero")
     for k in range(0, 26):
         hi = 10.0 ** (k - 12)
         if float(h(np.asarray([hi]))[0]) > kappa:
@@ -363,7 +366,8 @@ def _evaluators(columns: Callable) -> dict:
 
 
 def _on(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """fn(xs), not called for no states (custom bases reject them)."""
+    """fn(xs), not called for no states: fn is a resolvent sweep, which
+    needs at least one state."""
     return fn(xs) if xs.size else xs
 
 
@@ -395,7 +399,7 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
         # a branch spans the grid for its own column, else its side of x*
         k = int(np.searchsorted(grid, x_star))
         j = 0 if "branch_upper" in names else k
-        low = cache(lambda: _on(lower, grid[:grid.size if "branch_lower" in names else k]))
+        low = cache(lambda: lower(grid[:grid.size if "branch_lower" in names else k]))
         up = cache(lambda: _on(upper, grid[j:]))
 
         def active_below(xs):

@@ -4,6 +4,7 @@ Frozen reference values were computed with mpmath at 40 significant
 digits from the defining equations, independently of this package.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from entrysolve import (
     speed_density,
     wronskian_check,
 )
+from entrysolve import diffusions
 from entrysolve.diffusions import (_CUSTOM_CACHE_SIZE, _RiccatiCore, _b_of_x, _custom_basis,
                                    _scale_exponent)
 
@@ -250,6 +252,15 @@ class TestLogisticBasis:
         basis = excessive_basis(spec, 1.1)
         assert harmonicity_residual(spec, basis, np.geomspace(0.5, 6.0, 21)) < 1e-6
 
+    def test_huge_state_overflows_promptly(self):
+        # M is +inf past its overflow bound without a hyp1f1 call, whose
+        # run time grows linearly in its argument
+        basis = excessive_basis(logistic(ALPHA, BETA, 0.2), 0.6)
+        start = time.perf_counter()
+        with np.errstate(over="ignore"):  # x ** b overflows too
+            assert basis.psi(1e300) == math.inf
+        assert time.perf_counter() - start < 1.0
+
     def test_zero_crowding_reduces_to_gbm(self):
         b_log = excessive_basis(logistic(ALPHA, BETA, 0.0), 0.6)
         b_gbm = excessive_basis(gbm(ALPHA, BETA), 0.6)
@@ -303,6 +314,12 @@ class TestCustomBasis:
             got.psi(1e-16)
         with pytest.raises(ConstructionError, match="supported range"):
             got.phi(1e16)
+
+    def test_empty_states_give_an_empty_array(self, pair):
+        got, _ = pair
+        for u in (got.psi, got.phi, got.psi_prime, got.phi_prime):
+            out = u(np.empty(0))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_rejects_nonpositive_state(self, pair):
         got, _ = pair
@@ -390,19 +407,26 @@ class TestBasisTables:
             # the increasing branch's shot ends there: nothing is sampled past it
             assert core._tables[which]._table.lefts[-1] < core.v_hi
 
-    def test_reshoot_drops_the_old_tables(self):
-        spec = custom_diffusion(*TABLE_MODELS["log_mean_reverting"])
-        old, fresh = _RiccatiCore(spec, 1.1), _RiccatiCore(spec, 1.1)
-        x = np.concatenate((np.geomspace(0.1, 10.0, 25), [math.exp(31.5)]))
-        old.eval(x[:-1], "psi", False)
-        old.eval(x[:-1], "phi", True)
-        assert old.v_hi == 30.0
-        with np.errstate(over="ignore"):  # psi overflows at e^31.5
-            for which in ("psi", "phi"):
-                for deriv in (False, True):
-                    np.testing.assert_array_equal(old.eval(x, which, deriv),
-                                                  fresh.eval(x, which, deriv))
-        assert old.v_hi == fresh.v_hi == 33.0
+    def test_states_past_the_span_raise_without_a_shot(self, monkeypatch):
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 1.1)
+        x = np.geomspace(0.1, 10.0, 25)
+        kinds = [(which, deriv) for which in ("psi", "phi") for deriv in (False, True)]
+        before = [core.eval(x, *kind) for kind in kinds]
+        fields = (core.v_lo, core.v_hi, core.wronskian, core.x_lo, core.x_hi)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("shot again")
+
+        monkeypatch.setattr(_RiccatiCore, "_shoot", refuse)
+        monkeypatch.setattr(diffusions, "solve_ivp", refuse)
+        for far in (math.exp(31.5), math.exp(-31.5)):
+            for kind in kinds:
+                with pytest.raises(ConstructionError,
+                                   match=r"supported range \[9\.36e-14, 1\.07e\+13\]"):
+                    core.eval(np.append(x, far), *kind)
+        assert (core.v_lo, core.v_hi, core.wronskian, core.x_lo, core.x_hi) == fields
+        for kind, values in zip(kinds, before):
+            np.testing.assert_array_equal(core.eval(x, *kind), values)
 
 
 # the demo problem: rho_idle = 0.6, rho_active = 1.1
@@ -454,6 +478,17 @@ class TestStiffShot:
         solution = solve(spec, DEMO_PARAMS)
         solution.value_idle(np.linspace(solution.x_star / 50.0, 2.0 * solution.x_star, 201))
         assert sorted(shots) == [DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active]
+
+    def test_out_of_span_call_leaves_a_solution_unchanged(self):
+        spec = custom_diffusion(lambda x: 0.4 * x * (math.log(6.0) - np.log(x)),
+                                lambda x: 0.35 * x)
+        solution = solve(spec, DEMO_PARAMS)
+        grid = np.linspace(solution.x_star / 50.0, 2.0 * solution.x_star, 201)
+        before = solution.value_idle(grid)
+        for rho in (DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active):
+            with pytest.raises(ConstructionError, match="supported range"):
+                excessive_basis(spec, rho).phi(math.exp(31.5))
+        np.testing.assert_array_equal(solution.value_idle(grid), before)
 
     def test_non_finite_shot_raises(self):
         # finite on the spec's probe grid, NaN in the middle of the upper span

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from entrysolve import AccuracyError, HypergeometricArgs, kummer_m, tricomi_u
+from entrysolve import AccuracyError, HypergeometricArgs, hypergeometric, kummer_m, tricomi_u
 from entrysolve.hypergeometric import _m_vec, _u_vec
 
 # frozen mpmath references: (a, b, z) -> M(a, b, z)
@@ -194,6 +194,32 @@ class TestKummerM:
             HypergeometricArgs(1.0, 2.0, -1.0)
         # b = -2.5 is fine, only non-positive integers are poles
         HypergeometricArgs(1.0, -2.5, 1.0)
+
+    def test_rejects_non_finite_arguments(self):
+        # hyp1f1(1, 1.5, inf) does not return; NaN gave a silent nan
+        for args in ((math.nan, 1.5, 1.0), (1.0, math.nan, 1.0), (1.0, 1.5, math.nan),
+                     (1.0, 1.5, math.inf), (math.inf, 1.5, 1.0), (1.0, -math.inf, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                HypergeometricArgs(*args)
+
+    def test_overflow_bound_skips_hyp1f1(self, monkeypatch):
+        # past z = 1e5 max(1, b), M is +inf for every a, b > 0 without a
+        # hyp1f1 call; below it, M is hyp1f1's value bit for bit
+        def bounded(a, b, z):
+            assert np.max(z) <= 1e5 * max(1.0, b), "hyp1f1 called past the bound"
+            return sc.hyp1f1(a, b, z)
+
+        monkeypatch.setattr(hypergeometric, "hyp1f1", bounded)
+        for a, b in ((1e-6, 0.5), (1.0, 1.5), (5.64, 12.88), (0.1, 1e3), (50.0, 2.0)):
+            bound = 1e5 * max(1.0, b)
+            below = np.array([0.5, 30.0, 700.0, bound])
+            np.testing.assert_array_equal(_m_vec(a, b, below), sc.hyp1f1(a, b, below))
+            past = np.array([np.nextafter(bound, np.inf), 1e12, 1e300, np.inf])
+            np.testing.assert_array_equal(_m_vec(a, b, past), np.inf)
+            # hyp1f1 itself has overflowed by the bound
+            assert sc.hyp1f1(a, b, bound) == np.inf
+        # a signed argument of the internal route is not guarded
+        assert _m_vec(2.0, 6.2, np.array([-3.5]))[0] == sc.hyp1f1(2.0, 6.2, -3.5)
 
 
 class TestTricomiU:

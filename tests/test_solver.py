@@ -138,6 +138,12 @@ class TestBreakEvenState:
         params = replace(PARAMS, h=custom_payoff(lambda x: np.sqrt(x)))
         assert _break_even_state(params) == pytest.approx(2.1 ** 2, rel=1e-10)
 
+    def test_custom_payoff_above_break_even_at_zero_raises(self):
+        # kappa = C + (r + lambda) K = 2.1 < h(0+) = 5: no sign change to bracket
+        params = replace(PARAMS, h=custom_payoff(lambda x: 5.0 + x))
+        with pytest.raises(ValueError, match=r"kappa=2\.1 already at x=1e-13"):
+            solve(SPEC, params)
+
 
 class TestThreshold:
     def test_frozen_value(self, sol):
@@ -550,6 +556,11 @@ class TestEdgeProbabilities:
         for x in (2.0, 7.0):
             want = resolvent(basis_a, m_prime, PARAMS.h, x) - 1.0 / 1.1
             assert float(p0.value_active(x)) == pytest.approx(want, rel=1e-10)
+
+    def test_huge_logistic_state_raises_promptly(self):
+        solution = solve(logistic(ALPHA, BETA, 0.2), PARAMS)
+        with pytest.raises(QuadratureError, match="not finite"):
+            solution.value_idle(1e300)
 
     def test_overflowing_tail_raises(self):
         # well posed (rho_idle = 0.1 > alpha), but the speed density
