@@ -122,14 +122,26 @@ def _log_sampler(fx: Callable) -> Callable:
     return sample
 
 
+def _nodes(lefts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The (n, 33) nodes of v at which _fit samples the pieces
+    [left, left + width], ascending along each row."""
+    return lefts[:, None] + (0.5 * widths)[:, None] * (_NODES + 1.0)
+
+
+def _quarters(lefts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lefts and widths of the four quarter-width pieces of each piece
+    [left, left + width], ascending, as _pieces refits them."""
+    quarter = np.repeat(0.25 * widths, 4)
+    return (lefts[:, None] + quarter.reshape(-1, 4) * np.arange(4.0)).ravel(), quarter
+
+
 def _fit(sample: Callable, lefts: np.ndarray, widths: np.ndarray, tol: float):
     """Antiderivative series (one row per piece), integrals, fit gaps and
     the indices that fail tol, of g = sample(v) on the pieces
     [left, left + width] of v; a piece where g is not finite fails."""
-    half = 0.5 * widths
     parabola, maps = _cheb_maps()
     with np.errstate(all="ignore"):
-        vals = sample(lefts[:, None] + half[:, None] * (_NODES + 1.0)) * half[:, None]
+        vals = sample(_nodes(lefts, widths)) * (0.5 * widths)[:, None]
         # both rules are exact for the parabola through the middle and end
         # nodes, so rounding scales with g less it
         ends = vals[:, ::_DEGREE // 2]
@@ -151,8 +163,7 @@ def _pieces(sample: Callable, lefts: np.ndarray, widths: np.ndarray) -> tuple:
     coefs, integrals, _, redo = _fit(sample, lefts, widths, 1e-8)
     failed, gaps = redo, np.empty(0)
     if redo.size:
-        quarter = np.repeat(0.25 * widths[redo], 4)
-        sub = (lefts[redo, None] + quarter.reshape(-1, 4) * np.arange(4.0)).ravel()
+        sub, quarter = _quarters(lefts[redo], widths[redo])
         sub_coefs, sub_integrals, sub_gaps, sub_failed = _fit(sample, sub, quarter, 1e-7)
         counts = np.ones(lefts.size, dtype=np.intp)
         counts[redo] = 4

@@ -13,29 +13,34 @@ Three kinds are supported:
     combine a power with confluent hypergeometric factors M and U.
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
     numerically from a Riccati equation for s = (ln u)' on the log axis,
-    each in one stiff LSODA shot with the analytic Jacobian across
-    |ln x| <= 30, from the end where it vanishes, when the basis is
-    built. That span, x_lo = e^-30 to x_hi = e^30, is where such a basis
-    is defined: outside it the basis raises. One table type
-    (_PanelTable) then serves both ln u and the exponent B of the scale
-    and speed densities, as antiderivatives from x = 1 of s and of
-    2 x drift / vol^2: _quad's Chebyshev fits on half-unit panels of
-    ln x, grown outward as far as the states asked for reach, each piece
-    chopped to its own degrees above rounding, so later calls need no
-    ODE solution, drift or vol.
+    each in one stiff LSODA run (scipy's odeint) with the analytic
+    Jacobian across |ln x| <= 30, from the end where it vanishes, when
+    the basis is built. The run outputs s at every node that a table fit
+    can ask for, and keeps no dense output. That span, x_lo = e^-30 to
+    x_hi = e^30, is where such a basis is defined: outside it the basis
+    raises. One table type (_PanelTable) then serves both ln u and the
+    exponent B of the scale and speed densities, as antiderivatives from
+    x = 1 of s and of 2 x drift / vol^2: _quad's Chebyshev fits on
+    half-unit panels of ln x, grown outward as far as the states asked
+    for reach, each piece chopped to its own degrees above rounding, so
+    later calls need no ODE run, drift or vol.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
+# unused; perfbench/tracing.py patches this name
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from ._quad import _DEGREE, _PANEL_WIDTH, _clenshaw_slope, _log_sampler, _pieces
+from ._quad import (_DEGREE, _PANEL_WIDTH, _clenshaw_slope, _log_sampler, _nodes, _pieces,
+                    _quarters)
 from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
@@ -375,14 +380,17 @@ class _RiccatiCore:
 
     Solves s' = s - s^2 + r(v) - q(v) s on v = ln x for s = (ln u)',
     with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2. Each branch is
-    one stiff LSODA shot given the analytic Jacobian 1 - 2s - q: upward
-    from below the lower end of the span (increasing branch psi) and
-    downward from above its upper end (decreasing branch phi), each
+    one stiff LSODA run (odeint) given the analytic Jacobian 1 - 2s - q:
+    upward from below the lower end of the span (increasing branch psi)
+    and downward from above its upper end (decreasing branch phi), each
     started on the local root of s^2 - (1 - q) s - r = 0 that it tends
-    to. Each branch keeps a _PanelTable of s, sampled from the shot's
-    dense output as states reach new panels, and u = exp(integral_0^v s),
-    so u(1) = 1. The shot spans ln x in [-30, 30] and runs once, at
-    construction; a state outside [x_lo, x_hi] = [e^-30, e^30] raises.
+    to. The run outputs s at every node that the branch's table can fit,
+    the nodes of each half-unit panel of the span and of its four
+    quarter-width refit pieces, and builds no dense output. Each branch
+    keeps a _PanelTable of s, grown from those samples as states reach
+    new panels, and u = exp(integral_0^v s), so u(1) = 1. The shot spans
+    ln x in [-30, 30] and runs once, at construction; a state outside
+    [x_lo, x_hi] = [e^-30, e^30] raises.
     """
 
     def __init__(self, spec: DiffusionSpec, rho: float):
@@ -410,39 +418,48 @@ class _RiccatiCore:
         q, _ = self._coefs(v)
         return [[1.0 - 2.0 * y[0] - q]]
 
-    def _branch(self, start: float, end: float, upward: bool):
+    def _branch(self, start: float, nodes: np.ndarray, upward: bool) -> tuple:
+        """s at the nodes, in their order, from one LSODA run from start;
+        and whether the run succeeded."""
         q, r = self._coefs(start)
         disc = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
         s0 = 0.5 * ((1.0 - q) + disc if upward else (1.0 - q) - disc)
-        return solve_ivp(self._rhs, (start, end), [s0], method="LSODA",
-                         jac=self._jac, rtol=1e-12, atol=1e-14,
-                         dense_output=True)
+        with warnings.catch_warnings():
+            # a failed run is told by its message
+            warnings.simplefilter("ignore", ODEintWarning)
+            # mxstep caps the steps between two outputs: no cap in effect
+            s, info = odeint(self._rhs, [s0], np.concatenate(([start], nodes)),
+                             Dfun=self._jac, rtol=1e-12, atol=1e-14, mxstep=10 ** 7,
+                             full_output=True, tfirst=True)
+        return s[1:, 0], info["message"] == "Integration successful."
 
     def _shoot(self, v_lo: float, v_hi: float) -> None:
         failed = (f"eigenfunction shooting failed for rho={self._rho} "
                   f"on x in [{math.exp(v_lo):.3g}, {math.exp(v_hi):.3g}]")
-        try:
-            up = self._branch(v_lo - _SHOT_BUFFER, v_hi, True)
-            down = self._branch(v_hi + _SHOT_BUFFER, v_lo, False)
-        except ValueError as exc:
-            # scipy's dense output rejects an LSODA step that stalled to length 0
-            raise ConstructionError(failed) from exc
-        if not (up.success and down.success
-                and np.all(np.isfinite(up.y)) and np.all(np.isfinite(down.y))):
+        # every node a table's fits sample, its panels' and their quarters'
+        lefts = _PANEL_WIDTH * np.arange(round(v_lo / _PANEL_WIDTH),
+                                         round(v_hi / _PANEL_WIDTH), dtype=float)
+        widths = np.full(lefts.size, _PANEL_WIDTH)
+        nodes = np.unique(np.concatenate(
+            (_nodes(lefts, widths), _nodes(*_quarters(lefts, widths))), axis=None))
+        up, up_ok = self._branch(v_lo - _SHOT_BUFFER, nodes, True)
+        down, down_ok = self._branch(v_hi + _SHOT_BUFFER, nodes[::-1], False)
+        down = down[::-1]
+        if not (up_ok and down_ok and np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
             raise ConstructionError(failed)
-        grid = np.linspace(v_lo, v_hi, 201)
-        if np.any(up.sol(grid)[0] < -1e-9):
+        if np.any(up < -1e-9):
             raise ConstructionError("increasing eigenfunction lost monotonicity")
-        if np.any(down.sol(grid)[0] > 1e-9):
+        if np.any(down > 1e-9):
             raise ConstructionError("decreasing eigenfunction lost monotonicity")
         # psi = phi = S' = 1 at x = 1, so the wronskian is psi'(1) - phi'(1)
-        self.wronskian = float(up.sol(0.0)[0] - down.sol(0.0)[0])
-        # samples of the dense output carry about 1e-14 of noise, so its
-        # series are chopped at 64 ulp
+        at_one = int(np.searchsorted(nodes, 0.0))
+        self.wronskian = float(up[at_one] - down[at_one])
+        # the samples carry about 1e-14 of noise, so their series are
+        # chopped at 64 ulp
         self._tables = {which: _PanelTable(
-            lambda v, sol=branch.sol: sol(v.ravel())[0].reshape(v.shape),
+            _node_lookup(nodes, samples, f"(ln {which})'"),
             64.0 * np.finfo(float).eps, f"(ln {which})'", round(v_hi / _PANEL_WIDTH))
-            for which, branch in (("psi", up), ("phi", down))}
+            for which, samples in (("psi", up), ("phi", down))}
         self.v_lo, self.v_hi = v_lo, v_hi
         self.x_lo, self.x_hi = math.exp(v_lo), math.exp(v_hi)
 
@@ -459,6 +476,19 @@ class _RiccatiCore:
         else:
             out = np.exp(self._tables[which](v))
         return out.reshape(np.shape(x)) if np.shape(x) else out[0]
+
+
+def _node_lookup(nodes: np.ndarray, samples: np.ndarray, what: str) -> Callable:
+    """sample(v) = the samples at v, for v among the ascending nodes;
+    any other v raises, as nothing is interpolated."""
+    def sample(v: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(nodes, v), nodes.size - 1)
+        missed = nodes[at] != v
+        if missed.any():
+            raise ConstructionError(f"{what} was not sampled at ln x = {v[missed][0]:.17g}")
+        return samples[at]
+
+    return sample
 
 
 @lru_cache(maxsize=_CUSTOM_CACHE_SIZE)
@@ -485,9 +515,9 @@ def _closed_form_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
 def excessive_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     """Increasing/decreasing solutions of A u = rho u for this model.
 
-    Results are cached per (spec, rho). CUSTOM bases, which hold two
-    ODE solutions and their panel tables each and whose specs are new
-    with every new callable, have a cache of their own of
+    Results are cached per (spec, rho). CUSTOM bases, which hold the
+    samples of two ODE runs and their panel tables each and whose specs
+    are new with every new callable, have a cache of their own of
     _CUSTOM_CACHE_SIZE entries.
     Raises ConstructionError if a numeric basis cannot be built or
     loses monotonicity.

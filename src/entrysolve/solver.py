@@ -388,7 +388,13 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
     c_i1, d_i2, c_a1 = _coefs_from_bases(params, m_prime, x_star, basis_i, basis_a)
 
     def lower(xs):
-        return c_i1 * basis_i.psi(xs)
+        # psi may overflow at huge states; the check below reports it
+        with np.errstate(over="ignore"):
+            low = c_i1 * basis_i.psi(xs)
+        bad = ~np.isfinite(low)
+        if bad.any():
+            raise NumericsError(f"lower branch c_i1 psi is not finite at x={xs[bad][0]:.6g}")
+        return low
 
     def upper(xs, rh=None):
         if rh is None:

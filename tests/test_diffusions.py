@@ -5,10 +5,12 @@ digits from the defining equations, independently of this package.
 """
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, quad
+import scipy.integrate
+from scipy.integrate import OdeSolution, quad, solve_ivp
 
 from entrysolve import (
     ConstructionError,
@@ -26,8 +28,8 @@ from entrysolve import (
     wronskian_check,
 )
 from entrysolve import diffusions
-from entrysolve.diffusions import (_CUSTOM_CACHE_SIZE, _RiccatiCore, _b_of_x, _custom_basis,
-                                   _scale_exponent)
+from entrysolve.diffusions import (_CUSTOM_CACHE_SIZE, _SHOT_BUFFER, _RiccatiCore, _b_of_x,
+                                   _custom_basis, _scale_exponent)
 
 ALPHA, BETA = 0.05, 0.25
 C_EXP = 2.0 * ALPHA / BETA ** 2  # exponent in the scale density, 1.6
@@ -341,6 +343,32 @@ def dense_integral(sol, v: np.ndarray) -> np.ndarray:
     return cum[np.searchsorted(edges, v)] - cum[np.searchsorted(edges, 0.0)]
 
 
+def dense_branch(spec, rho: float, start: float, end: float):
+    """LSODA dense solution of s' = s - s^2 + r - q s, q = 2 x drift / vol^2
+    and r = 2 x^2 rho / vol^2 on v = ln x, from the root of
+    s^2 - (1 - q) s - r = 0 at start that the branch tends to."""
+    def coefs(v):
+        x = np.exp(v)
+        vol = spec.vol(x)
+        return 2.0 * x * spec.drift(x) / vol ** 2, 2.0 * x * x * rho / vol ** 2
+
+    def rhs(v, y):
+        q, r = coefs(v)
+        return y - y * y + r - q * y
+
+    def jac(v, y):
+        q, _ = coefs(v)
+        return [[1.0 - 2.0 * y[0] - q]]
+
+    q, r = coefs(start)
+    root = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
+    s0 = 0.5 * ((1.0 - q) + (root if end > start else -root))
+    solution = solve_ivp(rhs, (start, end), [s0], method="LSODA", jac=jac,
+                         rtol=1e-12, atol=1e-14, dense_output=True)
+    assert solution.success
+    return solution.sol
+
+
 TABLE_MODELS = {
     "log_mean_reverting": (lambda x: 0.4 * x * (1.79 - np.log(x)), lambda x: 0.35 * x),
     "gbm_as_custom": (lambda x: ALPHA * x, lambda x: BETA * x),
@@ -353,21 +381,16 @@ class TestBasisTables:
 
     @pytest.mark.parametrize("rho", [0.6, 1.1])
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
-    def test_tables_match_the_dense_solution(self, name, rho, monkeypatch):
-        branches = []
-        branch = _RiccatiCore._branch
-
-        def kept(core, start, end, upward):
-            branches.append(branch(core, start, end, upward))
-            return branches[-1]
-
-        monkeypatch.setattr(_RiccatiCore, "_branch", kept)
-        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS[name]), rho)
+    def test_tables_match_the_dense_solution(self, name, rho):
+        spec = custom_diffusion(*TABLE_MODELS[name])
+        core = _RiccatiCore(spec, rho)
         v = np.linspace(-12.0, 12.0, 97)
         x = np.exp(v)
-        for which, solution in zip(("psi", "phi"), branches):
-            s = solution.sol(v)[0]
-            u = np.exp(dense_integral(solution.sol, v))
+        for which, start, end in (("psi", core.v_lo - _SHOT_BUFFER, core.v_hi),
+                                  ("phi", core.v_hi + _SHOT_BUFFER, core.v_lo)):
+            sol = dense_branch(spec, rho, start, end)
+            s = sol(v)[0]
+            u = np.exp(dense_integral(sol, v))
             np.testing.assert_allclose(core.eval(x, which, False), u, rtol=1e-10)
             np.testing.assert_allclose(core.eval(x, which, True), u * s / x, rtol=1e-10)
 
@@ -395,6 +418,8 @@ class TestBasisTables:
             raise AssertionError("dense output evaluated")
 
         monkeypatch.setattr(OdeSolution, "__call__", refuse)
+        monkeypatch.setattr(diffusions, "odeint", refuse)
+        monkeypatch.setattr(diffusions, "solve_ivp", refuse)
         for kind, values in zip(kinds, cold):
             np.testing.assert_array_equal(core.eval(x[5:-5], *kind), values[5:-5])
 
@@ -419,6 +444,7 @@ class TestBasisTables:
 
         monkeypatch.setattr(_RiccatiCore, "_shoot", refuse)
         monkeypatch.setattr(diffusions, "solve_ivp", refuse)
+        monkeypatch.setattr(diffusions, "odeint", refuse)
         for far in (math.exp(31.5), math.exp(-31.5)):
             for kind in kinds:
                 with pytest.raises(ConstructionError,
@@ -427,6 +453,45 @@ class TestBasisTables:
         assert (core.v_lo, core.v_hi, core.wronskian, core.x_lo, core.x_hi) == fields
         for kind, values in zip(kinds, before):
             np.testing.assert_array_equal(core.eval(x, *kind), values)
+
+    def test_one_odeint_run_per_branch(self, monkeypatch):
+        runs = []
+        odeint = diffusions.odeint
+
+        def counted(*args, **kwargs):
+            runs.append(args[2])
+            return odeint(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp or OdeSolution used")
+
+        monkeypatch.setattr(diffusions, "odeint", counted)
+        monkeypatch.setattr(diffusions, "solve_ivp", refuse)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        monkeypatch.setattr(OdeSolution, "__init__", refuse)
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 1.1)
+        for which in ("psi", "phi"):
+            # ln u over the whole span: every panel grows from the two runs
+            core._tables[which](np.linspace(core.v_lo, core.v_hi, 301))
+        assert len(runs) == 2
+        # upward from below the span, downward from above it
+        assert runs[0][0] == core.v_lo - _SHOT_BUFFER and runs[1][0] == core.v_hi + _SHOT_BUFFER
+        np.testing.assert_array_equal(runs[0][1:], runs[1][:0:-1])
+
+    @pytest.mark.parametrize("rho", [0.6, 1.1])
+    def test_tables_do_not_depend_on_their_growth(self, rho):
+        spec = custom_diffusion(lambda x: ALPHA * x * (1.0 - 0.2 * x), lambda x: BETA * x)
+        at_once, one_by_one = _RiccatiCore(spec, rho), _RiccatiCore(spec, rho)
+        x = np.geomspace(1e-4, 1e4, 301)
+        with np.errstate(over="ignore"):  # psi overflows near 1e4
+            for which in ("psi", "phi"):
+                at_once.eval(x, which, False)
+            for state in x[np.argsort(np.abs(np.log(x)), kind="stable")]:
+                for which in ("psi", "phi"):
+                    one_by_one.eval(np.array([state]), which, False)
+            for which in ("psi", "phi"):
+                np.testing.assert_array_equal(one_by_one.eval(x, which, False),
+                                              at_once.eval(x, which, False))
 
 
 # the demo problem: rho_idle = 0.6, rho_active = 1.1
@@ -447,6 +512,23 @@ class TestStiffShot:
                 np.testing.assert_allclose(getattr(got, which)(x), u(x) / u(1.0), rtol=1e-8)
         assert solve_threshold(spec_c, DEMO_PARAMS) == pytest.approx(
             solve_threshold(spec_l, DEMO_PARAMS), rel=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.6, 1.1, 3.0])
+    def test_crowding_matches_closed_form(self, rho):
+        # s grows like 1.6 x, so the shot is stiff far up the span
+        spec_c = custom_diffusion(lambda x: ALPHA * x * (1.0 - x), lambda x: BETA * x)
+        got, want = excessive_basis(spec_c, rho), excessive_basis(logistic(ALPHA, BETA, 1.0), rho)
+        x = np.geomspace(0.05, 8.0, 40)
+        for which in ("psi", "phi"):
+            u = getattr(want, which)
+            np.testing.assert_allclose(getattr(got, which)(x), u(x) / u(1.0), rtol=1e-8)
+
+    def test_crowding_at_a_low_rate_raises_without_a_warning(self):
+        spec = custom_diffusion(lambda x: ALPHA * x * (1.0 - x), lambda x: BETA * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError, match="shooting failed for rho=0.1"):
+                excessive_basis(spec, 0.1)
 
     def test_log_mean_reverting_pair_drift_calls(self):
         calls = 0

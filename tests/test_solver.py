@@ -562,6 +562,18 @@ class TestEdgeProbabilities:
         with pytest.raises(QuadratureError, match="not finite"):
             solution.value_idle(1e300)
 
+    @pytest.mark.parametrize("spec", [gbm(ALPHA, BETA), logistic(ALPHA, BETA, 0.2)],
+                             ids=["gbm", "logistic"])
+    def test_overflowing_lower_branch_raises(self, spec):
+        # psi(1e300) overflows to inf; the lower branch, which value_idle
+        # and value_active share below x*, names the state instead
+        solution = solve(spec, PARAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in (1e300, np.array([1.0, 1e300])):
+                with pytest.raises(NumericsError, match=r"not finite at x=1e\+300"):
+                    solution.branch_lower(x)
+
     def test_overflowing_tail_raises(self):
         # well posed (rho_idle = 0.1 > alpha), but the speed density
         # x^3.04 overflows before the upward tail walk for c_i1 settles;
