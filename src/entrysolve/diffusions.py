@@ -13,39 +13,37 @@ Three kinds are supported:
     combine a power with confluent hypergeometric factors M and U.
   * CUSTOM: arbitrary drift/vol callables; psi and phi are built
     numerically from a Riccati equation for s = (ln u)' on the log axis,
-    each in one stiff LSODA run (scipy's odeint) with the analytic
-    Jacobian across |ln x| <= 30, from the end where it vanishes, when
-    the basis is built. The run outputs s at every node that a table fit
-    can ask for, and keeps no dense output. That span, x_lo = e^-30 to
-    x_hi = e^30, is where such a basis is defined: outside it the basis
-    raises. One table type (_PanelTable) then serves both ln u and the
-    exponent B of the scale and speed densities, as antiderivatives from
-    x = 1 of s and of 2 x drift / vol^2: _quad's Chebyshev fits on
-    half-unit panels of ln x, grown outward as far as the states asked
-    for reach, each piece chopped to its own degrees above rounding, so
-    later calls need no ODE run, drift or vol.
+    collocated at the 33 Chebyshev nodes of every half-unit panel of
+    |ln x| <= 32 when the basis is built, each branch marched from the
+    end where it vanishes. x_lo = e^-30 to x_hi = e^30 is where such a
+    basis is defined: outside it the basis raises. One table type
+    (_PanelTable) then serves both ln u and the exponent B of the scale
+    and speed densities, as antiderivatives from x = 1 of s and of
+    2 x drift / vol^2: _quad's Chebyshev fits on half-unit panels of
+    ln x, grown outward as far as the states asked for reach, each piece
+    chopped to its own degrees above rounding, so later calls need no
+    drift or vol. The fits of s read its collocated values.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 # unused; perfbench/tracing.py patches this name
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from ._quad import (_DEGREE, _PANEL_WIDTH, _clenshaw_slope, _log_sampler, _nodes, _pieces,
-                    _quarters)
+from ._quad import (_DEGREE, _PANEL_WIDTH, _clenshaw_slope, _derivative_map, _log_sampler,
+                    _nodes, _pieces)
 from .errors import ConstructionError, QuadratureError
 from .hypergeometric import _m_vec, _u_vec
 
 _SPAN = 30.0
 _SHOT_BUFFER = 2.0
+_NEWTON_STEPS = 40
 # two models' (rho_idle, rho_active) pairs
 _CUSTOM_CACHE_SIZE = 4
 
@@ -376,21 +374,16 @@ def _logistic_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
 
 
 class _RiccatiCore:
-    """Numerically shot psi/phi pair for a CUSTOM model.
+    """Numerically built psi/phi pair for a CUSTOM model.
 
     Solves s' = s - s^2 + r(v) - q(v) s on v = ln x for s = (ln u)',
-    with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2. Each branch is
-    one stiff LSODA run (odeint) given the analytic Jacobian 1 - 2s - q:
-    upward from below the lower end of the span (increasing branch psi)
-    and downward from above its upper end (decreasing branch phi), each
-    started on the local root of s^2 - (1 - q) s - r = 0 that it tends
-    to. The run outputs s at every node that the branch's table can fit,
-    the nodes of each half-unit panel of the span and of its four
-    quarter-width refit pieces, and builds no dense output. Each branch
-    keeps a _PanelTable of s, grown from those samples as states reach
-    new panels, and u = exp(integral_0^v s), so u(1) = 1. The shot spans
-    ln x in [-30, 30] and runs once, at construction; a state outside
-    [x_lo, x_hi] = [e^-30, e^30] raises.
+    with q = 2 x drift / vol^2 and r = 2 x^2 rho / vol^2, by collocation
+    (_collocate) at the nodes of the tables' half-unit panels of ln x in
+    [-32, 32], from one call of drift and of vol, marching up for psi
+    and down for phi; values that are not finite raise, without numpy
+    warnings. Each branch's _PanelTable of s reads those panels as
+    states reach them; u = exp(integral_0^v s), so u(1) = 1. A state
+    outside [x_lo, x_hi] = [e^-30, e^30] raises.
     """
 
     def __init__(self, spec: DiffusionSpec, rho: float):
@@ -398,68 +391,35 @@ class _RiccatiCore:
         self._rho = rho
         self._shoot(-_SPAN, _SPAN)
 
-    def _coefs(self, v: float) -> tuple[float, float]:
-        x = math.exp(v)
-        at = np.asarray([x])
-        d = float(self._spec.drift(at)[0])
-        s2 = float(self._spec.vol(at)[0]) ** 2
-        if not 0.0 < s2 < math.inf:
-            raise ConstructionError(
-                f"volatility squared is {s2} at x={x:.6g}, where the shot for "
-                f"rho={self._rho} needs it positive and finite")
-        return 2.0 * x * d / s2, 2.0 * x * x * self._rho / s2
-
-    def _rhs(self, v, y):
-        q, r = self._coefs(v)
-        s = y[0]
-        return [s - s * s + r - q * s]
-
-    def _jac(self, v, y):
-        q, _ = self._coefs(v)
-        return [[1.0 - 2.0 * y[0] - q]]
-
-    def _branch(self, start: float, nodes: np.ndarray, upward: bool) -> tuple:
-        """s at the nodes, in their order, from one LSODA run from start;
-        and whether the run succeeded."""
-        q, r = self._coefs(start)
-        disc = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
-        s0 = 0.5 * ((1.0 - q) + disc if upward else (1.0 - q) - disc)
-        with warnings.catch_warnings():
-            # a failed run is told by its message
-            warnings.simplefilter("ignore", ODEintWarning)
-            # mxstep caps the steps between two outputs: no cap in effect
-            s, info = odeint(self._rhs, [s0], np.concatenate(([start], nodes)),
-                             Dfun=self._jac, rtol=1e-12, atol=1e-14, mxstep=10 ** 7,
-                             full_output=True, tfirst=True)
-        return s[1:, 0], info["message"] == "Integration successful."
-
+    @np.errstate(all="ignore")
     def _shoot(self, v_lo: float, v_hi: float) -> None:
+        k_lo, k_hi = (round(v / _PANEL_WIDTH) for v in (v_lo - _SHOT_BUFFER, v_hi + _SHOT_BUFFER))
+        lefts = _PANEL_WIDTH * np.arange(k_lo, k_hi, dtype=float)
+        nodes = _nodes(lefts, np.full(lefts.size, _PANEL_WIDTH))
+        x = np.exp(nodes.ravel())
+        d, s2 = self._spec.drift(x), self._spec.vol(x) ** 2
+        bad = np.flatnonzero(~((s2 > 0.0) & (s2 < math.inf)))
+        if bad.size:
+            raise ConstructionError(
+                f"volatility squared is {s2[bad[0]]} at x={x[bad[0]]:.6g}, where the "
+                f"shot for rho={self._rho} needs it positive and finite")
+        q = np.reshape(2.0 * x * d / s2, nodes.shape)
+        r = np.reshape(2.0 * x * x * self._rho / s2, nodes.shape)
         failed = (f"eigenfunction shooting failed for rho={self._rho} "
                   f"on x in [{math.exp(v_lo):.3g}, {math.exp(v_hi):.3g}]")
-        # every node a table's fits sample, its panels' and their quarters'
-        lefts = _PANEL_WIDTH * np.arange(round(v_lo / _PANEL_WIDTH),
-                                         round(v_hi / _PANEL_WIDTH), dtype=float)
-        widths = np.full(lefts.size, _PANEL_WIDTH)
-        nodes = np.unique(np.concatenate(
-            (_nodes(lefts, widths), _nodes(*_quarters(lefts, widths))), axis=None))
-        up, up_ok = self._branch(v_lo - _SHOT_BUFFER, nodes, True)
-        down, down_ok = self._branch(v_hi + _SHOT_BUFFER, nodes[::-1], False)
-        down = down[::-1]
-        if not (up_ok and down_ok and np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
-            raise ConstructionError(failed)
+        up = _collocate(q, r, 1.0, failed)
+        down = _collocate(q[::-1, ::-1], r[::-1, ::-1], -1.0, failed)[::-1, ::-1]
         if np.any(up < -1e-9):
             raise ConstructionError("increasing eigenfunction lost monotonicity")
         if np.any(down > 1e-9):
             raise ConstructionError("decreasing eigenfunction lost monotonicity")
         # psi = phi = S' = 1 at x = 1, so the wronskian is psi'(1) - phi'(1)
-        at_one = int(np.searchsorted(nodes, 0.0))
-        self.wronskian = float(up[at_one] - down[at_one])
-        # the samples carry about 1e-14 of noise, so their series are
-        # chopped at 64 ulp
+        self.wronskian = float(up[-k_lo, 0] - down[-k_lo, 0])
+        # the rows hold s to a few ulp, so their series are chopped at 64 ulp
         self._tables = {which: _PanelTable(
-            _node_lookup(nodes, samples, f"(ln {which})'"),
+            _panel_rows(nodes, rows, f"(ln {which})'"),
             64.0 * np.finfo(float).eps, f"(ln {which})'", round(v_hi / _PANEL_WIDTH))
-            for which, samples in (("psi", up), ("phi", down))}
+            for which, rows in (("psi", up), ("phi", down))}
         self.v_lo, self.v_hi = v_lo, v_hi
         self.x_lo, self.x_hi = math.exp(v_lo), math.exp(v_hi)
 
@@ -478,15 +438,54 @@ class _RiccatiCore:
         return out.reshape(np.shape(x)) if np.shape(x) else out[0]
 
 
-def _node_lookup(nodes: np.ndarray, samples: np.ndarray, what: str) -> Callable:
-    """sample(v) = the samples at v, for v among the ascending nodes;
-    any other v raises, as nothing is interpolated."""
+def _collocate(q: np.ndarray, r: np.ndarray, sign: float, failed: str) -> np.ndarray:
+    """s on the (n, 33) panel rows of a march along which v rises for
+    sign = 1 and falls for sign = -1; ConstructionError(failed) if
+    Newton does not reach finite values within _NEWTON_STEPS.
+
+    The march starts on the root of s^2 - (1 - q) s - r = 0 taken with
+    the sign, as Newton does at every node. Each panel's first node
+    takes the last value of the one before; at the other 32 the
+    derivative of the panel's interpolant meets the equation. A step
+    solves the (n, 32, 32) blocks for each panel's own change and its
+    change per change of its first node, then carries those along."""
+    s = 0.5 * ((1.0 - q) + sign * np.sqrt((1.0 - q) ** 2 + 4.0 * r))
+    # along the march, d/dv is the sign times the derivative along the nodes
+    d = (sign * 2.0 / _PANEL_WIDTH) * _derivative_map()
+    # the roots at each panel's first node are those at the last before
+    q, r, inner = q[:, 1:], r[:, 1:], s[:, 1:]
+    for _ in range(_NEWTON_STEPS):
+        residual = s @ d[1:].T - (inner * (1.0 - q - inner) + r)
+        jac = d[1:, 1:] - (1.0 - q - 2.0 * inner)[:, :, None] * np.eye(_DEGREE)
+        rhs = np.stack((-residual, np.broadcast_to(-d[1:, 0], inner.shape)), axis=-1)
+        try:
+            own, per_head = np.moveaxis(np.linalg.solve(jac, rhs), -1, 0)
+        except np.linalg.LinAlgError:  # an exactly singular block
+            raise ConstructionError(failed) from None
+        head_steps = [0.0]
+        for a, b in zip(own[:-1, -1].tolist(), per_head[:-1, -1].tolist()):
+            head_steps.append(a + b * head_steps[-1])
+        step = own + per_head * np.array(head_steps)[:, None]
+        inner += step
+        s[1:, 0] = s[:-1, -1]
+        if not np.all(np.isfinite(inner)):
+            raise ConstructionError(failed)
+        if np.max(np.abs(step) / (1.0 + np.abs(inner))) <= 1e-13:
+            return s
+    raise ConstructionError(failed)
+
+
+def _panel_rows(nodes: np.ndarray, rows: np.ndarray, what: str) -> Callable:
+    """sample(v) = the rows of the panels whose nodes v holds, one panel
+    to a row; any other node raises, as nothing is interpolated."""
     def sample(v: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(nodes, v), nodes.size - 1)
-        missed = nodes[at] != v
+        at = np.rint((v[:, 0] - nodes[0, 0]) / _PANEL_WIDTH).astype(np.intp)
+        missed = np.any(nodes[at] != v, axis=1)
         if missed.any():
-            raise ConstructionError(f"{what} was not sampled at ln x = {v[missed][0]:.17g}")
-        return samples[at]
+            lo, hi = np.exp(v[missed][0, [0, -1]])
+            raise ConstructionError(
+                f"{what} is known only at its panels' nodes, not on x in [{lo:.6g}, {hi:.6g}]")
+        return rows[at]
 
     return sample
 
@@ -516,9 +515,9 @@ def excessive_basis(spec: DiffusionSpec, rho: float) -> ExcessiveBasis:
     """Increasing/decreasing solutions of A u = rho u for this model.
 
     Results are cached per (spec, rho). CUSTOM bases, which hold the
-    samples of two ODE runs and their panel tables each and whose specs
-    are new with every new callable, have a cache of their own of
-    _CUSTOM_CACHE_SIZE entries.
+    collocated values of two branches and their panel tables each and
+    whose specs are new with every new callable, have a cache of their
+    own of _CUSTOM_CACHE_SIZE entries.
     Raises ConstructionError if a numeric basis cannot be built or
     loses monotonicity.
     """

@@ -28,6 +28,7 @@ from entrysolve import (
     wronskian_check,
 )
 from entrysolve import diffusions
+from entrysolve._quad import _nodes
 from entrysolve.diffusions import (_CUSTOM_CACHE_SIZE, _SHOT_BUFFER, _RiccatiCore, _b_of_x,
                                    _custom_basis, _scale_exponent)
 
@@ -332,9 +333,9 @@ class TestCustomBasis:
 
 
 def dense_integral(sol, v: np.ndarray) -> np.ndarray:
-    """integral_0^v of the LSODA dense output of s = (ln u)', for
+    """integral_0^v of the Radau dense output of s = (ln u)', for
     ascending v: 8-node Gauss-Legendre on every piece between its steps,
-    exact for the output's polynomials of degree at most 12."""
+    exact for the output's cubics."""
     edges = np.unique(np.concatenate((v, [0.0], sol.ts[(sol.ts > v[0]) & (sol.ts < v[-1])])))
     t, w = np.polynomial.legendre.leggauss(8)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -344,9 +345,10 @@ def dense_integral(sol, v: np.ndarray) -> np.ndarray:
 
 
 def dense_branch(spec, rho: float, start: float, end: float):
-    """LSODA dense solution of s' = s - s^2 + r - q s, q = 2 x drift / vol^2
+    """Radau dense solution of s' = s - s^2 + r - q s, q = 2 x drift / vol^2
     and r = 2 x^2 rho / vol^2 on v = ln x, from the root of
-    s^2 - (1 - q) s - r = 0 at start that the branch tends to."""
+    s^2 - (1 - q) s - r = 0 at start that the branch tends to; an
+    integrator independent of the collocation, at a tighter tolerance."""
     def coefs(v):
         x = np.exp(v)
         vol = spec.vol(x)
@@ -363,8 +365,8 @@ def dense_branch(spec, rho: float, start: float, end: float):
     q, r = coefs(start)
     root = math.sqrt((1.0 - q) ** 2 + 4.0 * r)
     s0 = 0.5 * ((1.0 - q) + (root if end > start else -root))
-    solution = solve_ivp(rhs, (start, end), [s0], method="LSODA", jac=jac,
-                         rtol=1e-12, atol=1e-14, dense_output=True)
+    solution = solve_ivp(rhs, (start, end), [s0], method="Radau", jac=jac,
+                         rtol=1e-13, atol=1e-15, dense_output=True)
     assert solution.success
     return solution.sol
 
@@ -391,8 +393,8 @@ class TestBasisTables:
             sol = dense_branch(spec, rho, start, end)
             s = sol(v)[0]
             u = np.exp(dense_integral(sol, v))
-            np.testing.assert_allclose(core.eval(x, which, False), u, rtol=1e-10)
-            np.testing.assert_allclose(core.eval(x, which, True), u * s / x, rtol=1e-10)
+            np.testing.assert_allclose(core.eval(x, which, False), u, rtol=1e-11)
+            np.testing.assert_allclose(core.eval(x, which, True), u * s / x, rtol=1e-11)
 
     def test_gbm_as_custom_tables_are_linear_and_exact(self, pair):
         got, want = pair
@@ -418,7 +420,7 @@ class TestBasisTables:
             raise AssertionError("dense output evaluated")
 
         monkeypatch.setattr(OdeSolution, "__call__", refuse)
-        monkeypatch.setattr(diffusions, "odeint", refuse)
+        monkeypatch.setattr(diffusions, "_collocate", refuse)
         monkeypatch.setattr(diffusions, "solve_ivp", refuse)
         for kind, values in zip(kinds, cold):
             np.testing.assert_array_equal(core.eval(x[5:-5], *kind), values[5:-5])
@@ -444,7 +446,7 @@ class TestBasisTables:
 
         monkeypatch.setattr(_RiccatiCore, "_shoot", refuse)
         monkeypatch.setattr(diffusions, "solve_ivp", refuse)
-        monkeypatch.setattr(diffusions, "odeint", refuse)
+        monkeypatch.setattr(diffusions, "_collocate", refuse)
         for far in (math.exp(31.5), math.exp(-31.5)):
             for kind in kinds:
                 with pytest.raises(ConstructionError,
@@ -454,29 +456,45 @@ class TestBasisTables:
         for kind, values in zip(kinds, before):
             np.testing.assert_array_equal(core.eval(x, *kind), values)
 
-    def test_one_odeint_run_per_branch(self, monkeypatch):
-        runs = []
-        odeint = diffusions.odeint
+    def test_one_build_calls_no_ode_solver_and_the_model_once(self, monkeypatch):
+        calls = {"drift": 0, "vol": 0}
 
-        def counted(*args, **kwargs):
-            runs.append(args[2])
-            return odeint(*args, **kwargs)
+        def counted(name, f):
+            def g(x):
+                calls[name] += 1
+                return f(x)
+            return g
 
         def refuse(*args, **kwargs):
-            raise AssertionError("solve_ivp or OdeSolution used")
+            raise AssertionError("an ODE solver used")
 
-        monkeypatch.setattr(diffusions, "odeint", counted)
+        for name in ("solve_ivp", "odeint", "ode"):
+            monkeypatch.setattr(scipy.integrate, name, refuse)
         monkeypatch.setattr(diffusions, "solve_ivp", refuse)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
         monkeypatch.setattr(OdeSolution, "__init__", refuse)
-        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 1.1)
+        drift, vol = TABLE_MODELS["log_mean_reverting"]
+        spec = custom_diffusion(counted("drift", drift), counted("vol", vol))
+        calls.update(drift=0, vol=0)  # the spec probes its callables once
+        core = _RiccatiCore(spec, 1.1)
         for which in ("psi", "phi"):
-            # ln u over the whole span: every panel grows from the two runs
+            # ln u over the whole span: every panel is read from the rows
             core._tables[which](np.linspace(core.v_lo, core.v_hi, 301))
-        assert len(runs) == 2
-        # upward from below the span, downward from above it
-        assert runs[0][0] == core.v_lo - _SHOT_BUFFER and runs[1][0] == core.v_hi + _SHOT_BUFFER
-        np.testing.assert_array_equal(runs[0][1:], runs[1][:0:-1])
+        # both branches are collocated on the same nodes
+        assert calls == {"drift": 1, "vol": 1}
+
+    def test_rows_are_read_only_at_their_panels_nodes(self):
+        core = _RiccatiCore(custom_diffusion(*TABLE_MODELS["log_mean_reverting"]), 1.1)
+        sample = core._tables["psi"]._sample
+        lefts = np.array([-32.0, 0.0, 31.5])
+        rows = sample(_nodes(lefts, np.full(3, 0.5)))
+        assert rows.shape == (3, 33) and np.all(rows > 0.0)
+        # at ln x = 0 the rows give the wronskian s_psi - s_phi
+        phi_rows = core._tables["phi"]._sample(_nodes(lefts, np.full(3, 0.5)))
+        assert rows[1, 0] - phi_rows[1, 0] == core.wronskian
+        # a quarter-width refit piece is not interpolated
+        with pytest.raises(ConstructionError,
+                           match=r"only at its panels' nodes, not on x in \[1\.13315, 1\.28403\]"):
+            sample(_nodes(np.array([0.125]), np.array([0.125])))
 
     @pytest.mark.parametrize("rho", [0.6, 1.1])
     def test_tables_do_not_depend_on_their_growth(self, rho):
@@ -499,7 +517,7 @@ DEMO_PARAMS = ProblemParams(r=0.1, lam=1.0, p=0.5, K=1.0, C=1.0, h=power(0.5))
 
 
 class TestStiffShot:
-    """One LSODA shot per branch, on models that are stiff at large |ln x|."""
+    """Collocated bases of models that are stiff at large |ln x|."""
 
     def test_logistic_as_custom_matches_closed_form(self):
         spec_c = custom_diffusion(lambda x: ALPHA * x * (1.0 - 0.2 * x), lambda x: BETA * x)
@@ -513,22 +531,38 @@ class TestStiffShot:
         assert solve_threshold(spec_c, DEMO_PARAMS) == pytest.approx(
             solve_threshold(spec_l, DEMO_PARAMS), rel=1e-8)
 
-    @pytest.mark.parametrize("rho", [0.6, 1.1, 3.0])
+    @pytest.mark.parametrize("rho", [0.1, 0.6, 1.1, 3.0])
     def test_crowding_matches_closed_form(self, rho):
-        # s grows like 1.6 x, so the shot is stiff far up the span
-        spec_c = custom_diffusion(lambda x: ALPHA * x * (1.0 - x), lambda x: BETA * x)
-        got, want = excessive_basis(spec_c, rho), excessive_basis(logistic(ALPHA, BETA, 1.0), rho)
-        x = np.geomspace(0.05, 8.0, 40)
-        for which in ("psi", "phi"):
-            u = getattr(want, which)
-            np.testing.assert_allclose(getattr(got, which)(x), u(x) / u(1.0), rtol=1e-8)
+        # s grows like 1.6 gamma x, so the equation is stiff far up the span
+        for gamma in (1.0, 5.0):
+            spec_c = custom_diffusion(lambda x, gamma=gamma: ALPHA * x * (1.0 - gamma * x),
+                                      lambda x: BETA * x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = excessive_basis(spec_c, rho)
+                want = excessive_basis(logistic(ALPHA, BETA, gamma), rho)
+                x = np.geomspace(0.05, 8.0, 40)
+                for which in ("psi", "phi"):
+                    u = getattr(want, which)
+                    np.testing.assert_allclose(getattr(got, which)(x), u(x) / u(1.0),
+                                               rtol=1e-8)
 
-    def test_crowding_at_a_low_rate_raises_without_a_warning(self):
-        spec = custom_diffusion(lambda x: ALPHA * x * (1.0 - x), lambda x: BETA * x)
+    @pytest.mark.parametrize("gamma", [0.2, 1.0])
+    def test_logistic_as_custom_threshold_to_rounding(self, gamma):
+        spec_c = custom_diffusion(lambda x: ALPHA * x * (1.0 - gamma * x), lambda x: BETA * x)
+        assert solve_threshold(spec_c, DEMO_PARAMS) == pytest.approx(
+            solve_threshold(logistic(ALPHA, BETA, gamma), DEMO_PARAMS), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.6, 1.1, 3.0])
+    def test_stiff_mean_reverting_model_builds(self, rho):
+        # q = 2 x drift / vol^2 falls to about -1e4 far up the span
+        spec = custom_diffusion(lambda x: 0.5 * (2.0 - x), lambda x: 0.3 * np.sqrt(x) + 0.01 * x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConstructionError, match="shooting failed for rho=0.1"):
-                excessive_basis(spec, 0.1)
+            basis = excessive_basis(spec, rho)
+            x = np.geomspace(0.05, 50.0, 40)
+            assert np.all(np.diff(basis.psi(x)) > 0.0) and np.all(np.diff(basis.phi(x)) < 0.0)
+            assert wronskian_check(basis, x) < 1e-10
 
     def test_log_mean_reverting_pair_drift_calls(self):
         calls = 0
@@ -542,7 +576,8 @@ class TestStiffShot:
         calls = 0  # the spec probes its callables once
         for rho in (DEMO_PARAMS.rho_idle, DEMO_PARAMS.rho_active):
             excessive_basis(spec, rho)
-        assert calls < 50_000
+        # one call per basis, on the nodes of both branches
+        assert calls == 2
 
     def test_solve_and_curve_shoot_each_basis_once(self, monkeypatch):
         # the panel rule evaluates the integrand at the truncation limits
@@ -573,12 +608,15 @@ class TestStiffShot:
         np.testing.assert_array_equal(solution.value_idle(grid), before)
 
     def test_non_finite_shot_raises(self):
-        # finite on the spec's probe grid, NaN in the middle of the upper span
-        spec = custom_diffusion(
-            lambda x: np.where((x > 1e5) & (x < 1e8), np.nan, ALPHA * x),
-            lambda x: BETA * x)
-        with pytest.raises(ConstructionError, match="shooting failed"):
-            excessive_basis(spec, 1.1)
+        # finite on the spec's probe grid; NaN in the middle of the upper
+        # span, or a drift whose q = 2 x drift / vol^2 overflows there
+        for drift in (lambda x: np.where((x > 1e5) & (x < 1e8), np.nan, ALPHA * x),
+                      lambda x: 1e290 * x):
+            spec = custom_diffusion(drift, lambda x: BETA * x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConstructionError, match="shooting failed"):
+                    excessive_basis(spec, 1.1)
 
     def test_zero_volatility_at_shot_start_raises(self):
         # positive on the spec's probe grid, 0 below 1e-5 where the upward
