@@ -30,7 +30,7 @@ from .diffusions import DiffusionSpec, gbm, logistic
 from .errors import NumericsError
 from .payoffs import Payoff, affine, power, saturating
 from .simulate import Formulation, PolicyEstimate, SimConfig, threshold_suboptimality_scan
-from .solver import (Mode, ProblemParams, Viability, check_entry_viability,
+from .solver import (Mode, ProblemParams, Viability, _solve_each, check_entry_viability,
                      p_independence_audit, solve, solve_threshold)
 
 log = logging.getLogger("entrysolve")
@@ -321,7 +321,7 @@ def cmd_curve(config: RunConfig, x_min: Optional[float] = None,
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"--p-list values must lie in (0, 1], got {p:g}")
 
-    solutions = [solve(spec, replace(params, p=p)) for p in ps]
+    solutions = _solve_each(spec, params, ps)
     x_star = solutions[0].x_star
     if x_min is None:
         if x_star is None:

@@ -16,15 +16,12 @@ with (psi_i, phi_i) and (psi_a, phi_a) the eigenfunction pairs at the
 idle and active rates and W_i, W_a their wronskians. F does not involve
 p, so the threshold is the same for every success probability.
 
-The root find walks the tail once: F(x_C) is one tail walk down to 0,
-and every later F(x) adds one fixed-panel integral of
-f = psi_a (h - kappa) m' from the largest state so far at which F < 0.
-Newton in ln x on the exact slope dF/dln x = x f(x), inside a bracket
-grown by 1.5x from x_C and with bisection as fallback, finds the root
-and F(x*) together. p_independence_audit re-solves this same F for
-each p, so its spread is exactly 0.0 by construction; it cannot see a
-p leaking into the threshold equation. An audit independent of F is an
-open item in ROADMAP.md.
+The root find walks the tail once, for F(x_C), then adds F up over
+fitted half-unit panels of ln x marched up from x_C, and solves for x*
+on the series of the panel where F turns positive. p_independence_audit
+re-solves this same F for each p, so its spread is exactly 0.0 by
+construction; it cannot see a p leaking into the threshold equation.
+An audit independent of F is an open item in ROADMAP.md.
 
 The three coefficients are projections of the net flow h - kappa on
 the eigenfunctions on either side of x*, one tail integral each; c_i1
@@ -48,17 +45,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._quad import fixed_panels, integrate_to_inf, integrate_to_zero
+from ._quad import (_BLOCK, _PANEL_WIDTH, _log_sampler, _pieces, fixed_panels,
+                    integrate_to_inf, integrate_to_zero)
 from .diffusions import DiffusionSpec, ExcessiveBasis, excessive_basis, speed_density
-from .errors import NumericsError
+from .errors import NumericsError, QuadratureError
 from .payoffs import Payoff, PayoffKind, limit_at_infinity
 from .resolvent import (_grid_integrals, _integrand, _limits, _resolvent_values,
                          resolvent_on_grid)
@@ -138,8 +136,8 @@ class Diagnostics:
     idle-value branches and their slopes at x*. growth_margin: minimum
     over a check grid of (R_{rho_idle} h - V_idle) / R_{rho_idle} h;
     non-negative when the growth condition holds. root_residual: |F(x*)|
-    as the root find evaluated it, from its anchor's F plus one panel
-    integral up to x*, not from a fresh tail walk.
+    as the root find's F(x_C) plus a fixed_panels integral over [x_C, x*].
+    All are computed on first read, with one idle-rate sweep.
     """
 
     pasting_gap_value: float
@@ -170,9 +168,14 @@ class Solution:
     branch_lower: Callable[[np.ndarray], np.ndarray]
     branch_upper: Callable[[np.ndarray], np.ndarray]
     table: Callable[[np.ndarray], dict]
-    diagnostics: Diagnostics
     spec: DiffusionSpec
     params: ProblemParams
+    _diagnostics: Callable[[], Diagnostics] = field(repr=False, compare=False)
+
+    @cached_property
+    def diagnostics(self) -> Diagnostics:
+        """Computed on first read, then kept."""
+        return self._diagnostics()
 
 
 def check_entry_viability(params: ProblemParams) -> Viability:
@@ -230,85 +233,73 @@ def _threshold_integrand(spec: DiffusionSpec,
 
 
 def _threshold_objective(spec: DiffusionSpec, params: ProblemParams) -> Callable[[float], float]:
-    """x -> F(x), defined for every x > 0.
-
-    The callable keeps an anchor (x_a, F(x_a)): the largest state seen
-    so far at which F < 0. At or above x_a, F(x) = F(x_a) plus one
-    fixed-panel integral over [x_a, x]; below it, or before any anchor
-    exists, F(x) is a tail walk down to 0. A root find that evaluates
-    F at its bracket ends walks once and moves the anchor up with the
-    bracket's lower end.
-    """
+    """x -> F(x), one tail walk down to 0 per call."""
     f, lo_lim = _threshold_integrand(spec, params)
-    anchor = None
-
-    def objective(x: float) -> float:
-        nonlocal anchor
-        if anchor is None or x < anchor[0]:
-            value = integrate_to_zero(f, x, limit=lo_lim)
-        else:
-            value = anchor[1] + float(fixed_panels(f, (anchor[0], x))[0])
-        if value < 0.0 and (anchor is None or x > anchor[0]):
-            anchor = (x, value)
-        return value
-
-    return objective
+    return partial(integrate_to_zero, f, limit=lo_lim)
 
 
-def _threshold_and_residual(spec: DiffusionSpec, params: ProblemParams) -> tuple[float, float]:
-    """The root x* > x_C of F and F(x*), from one tail walk.
+def _series_root(series: np.ndarray, target: float) -> float:
+    """t in [-1, 1] where the increasing Chebyshev series S, S(-1) = 0, reaches
+    target: Newton with bisection, on S(t) as t + 1 times its slope from -1."""
+    twice = (2.0 * series[:0:-1]).tolist()
 
-    The bracket [x_C (1 + 1e-9), 1.5 x_C] grows by 1.5x until F changes
-    sign; then Newton runs in v = ln x on the exact slope
-    dF/dv = x f(x), positive above x_C, from the bracket's upper end. A
-    Newton step that leaves the bracket is replaced by bisection in v.
-    The first Newton step below 1e-12 + 1e-13 x (brentq's tolerance)
-    ends the search: it is taken, and F is evaluated at the root it
-    gives, unless the step rounds to no change in x. A bisection step
-    never ends the search.
-    """
-    objective = _threshold_objective(spec, params)
-    f, _ = _threshold_integrand(spec, params)
-    lo = _break_even_state(params) * (1.0 + 1e-9)
-    f_lo = objective(lo)
-    if not f_lo < 0.0:
-        raise NumericsError(
-            f"threshold objective not negative at break-even state "
-            f"(F({lo:.6g}) = {f_lo:.3e})")
-    hi = lo
-    for _ in range(70):
-        hi *= 1.5
-        f_hi = objective(hi)
-        if f_hi > 0.0:
-            break
-        lo = hi
-    else:
-        raise NumericsError(
-            f"threshold bracket expansion failed: F stayed negative up to "
-            f"x = {hi:.6g} (last F = {f_hi:.3e}); check payoff growth")
-    x, fx = hi, f_hi
+    def slope(t0, t1):
+        # _quad._clenshaw_slope on floats: on 1-element arrays it costs 10x
+        b1 = b2 = d1 = d2 = 0.0
+        t0, t1 = 2.0 * t0, 2.0 * t1
+        for c in twice:
+            b1, b2, d1, d2 = c + t0 * b1 - b2, b1, t1 * d1 + b1 - d2, d1
+        return 0.5 * (b1 + t1 * d1) - d2
+
+    lo, hi, t = -1.0, 1.0, min(target / slope(-1.0, 1.0) - 1.0, 1.0)
     for _ in range(100):
-        slope = x * float(f(np.asarray([x]))[0])
-        step = -fx / slope if slope > 0.0 else math.nan
-        if abs(step) * x <= 1e-12 + 1e-13 * x:
-            root = x * math.exp(step)
-            return root, fx if root == x else objective(root)
-        v = math.log(x) + step
-        v_lo, v_hi = math.log(lo), math.log(hi)
-        if not v_lo < v < v_hi:
-            v = 0.5 * (v_lo + v_hi)
-        x = math.exp(v)
-        fx = objective(x)
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-    raise NumericsError(f"threshold Newton iteration did not converge in [{lo!r}, {hi!r}]")
+        gap = (t + 1.0) * slope(-1.0, t) - target
+        lo, hi = (t, hi) if gap < 0.0 else (lo, t)
+        step = -gap / s if (s := slope(t, t)) > 0.0 else math.inf  # S' <= 0: bisect
+        if abs(step) <= 1e-12:
+            return t + step
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    return t
+
+
+_REACH_PANELS = math.ceil(70 * math.log(1.5) / _PANEL_WIDTH)  # march up to x_C 1.5^70
+
+
+def _threshold_and_residual(spec: DiffusionSpec,
+                            params: ProblemParams) -> tuple[float, Callable[[], float]]:
+    """The root x* > x_C of F and a callable for |F(x*)|: F(x_C (1 + 1e-9))
+    from one tail walk, then half-unit panels fitted a block of 1, 2, 4, 8,
+    then 15 per integrand call, up to the one where F turns positive."""
+    f, _ = _threshold_integrand(spec, params)
+    x_c = _break_even_state(params) * (1.0 + 1e-9)
+    f_c = total = _threshold_objective(spec, params)(x_c)
+    if not f_c < 0.0:
+        raise NumericsError(f"threshold objective not negative at break-even state "
+                            f"(F({x_c:.6g}) = {f_c:.3e})")
+    sample = _log_sampler(lambda x: np.asarray(f(x), dtype=float) * x)  # dx = x dv
+    v_c, done, block = math.log(x_c), 0, 1
+    while done < _REACH_PANELS:
+        n = min(block, _REACH_PANELS - done)
+        lefts, widths, series, integrals, failed, gaps = _pieces(
+            sample, v_c + _PANEL_WIDTH * np.arange(done, done + n), np.full(n, _PANEL_WIDTH))
+        for j, integral in enumerate(integrals):
+            if j in failed:
+                a, b = np.exp([lefts[j], lefts[j] + widths[j]]).tolist()
+                raise QuadratureError(f"panel integral on [{a}, {b}] failed to converge "
+                                      f"(refined disagreement {gaps[failed == j][0]:.3e})")
+            if total + integral > 0.0:
+                t = _series_root(series[:, j], -total)
+                x_star = math.exp(lefts[j] + 0.5 * widths[j] * (t + 1.0))
+                return x_star, lambda: abs(f_c + float(fixed_panels(f, (x_c, x_star))[0]))
+            total += integral
+        done, block = done + n, min(2 * block, _BLOCK)
+    raise NumericsError(
+        f"threshold bracket expansion failed: F stayed negative up to x = "
+        f"{x_c * math.exp(_PANEL_WIDTH * done):.6g} (last F = {total:.3e}); check payoff growth")
 
 
 def solve_threshold(spec: DiffusionSpec, params: ProblemParams) -> float:
-    """Unique root x* > x_C of F; raises NumericsError if the bracket
-    cannot be expanded to a sign change."""
+    """Unique root x* > x_C of F; NumericsError if F stays negative past x_C 1.5^70."""
     return _threshold_and_residual(spec, params)[0]
 
 
@@ -377,8 +368,9 @@ def _relative_gap(a: float, b: float) -> float:
 
 def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
               basis_i: ExcessiveBasis, basis_a: ExcessiveBasis,
-              root_residual: float) -> Solution:
-    """Build the Solution from a threshold and the two bases.
+              root_residual: Callable[[], float]) -> Solution:
+    """Build the Solution from a threshold and the two bases; its
+    diagnostics call root_residual when first read.
 
     Kept separate from solve() so that rescaled bases can be injected;
     the value functions must not change under psi -> const * psi.
@@ -418,23 +410,25 @@ def _assemble(spec: DiffusionSpec, params: ProblemParams, x_star: float,
                 "branch_lower": low, "branch_upper": up}
         return {name: make[name]() for name in names}
 
-    # every diagnostic from one idle-rate sweep, with x* as a node:
-    # the two idle branches and their slopes at x*, and R_i h - V_i
-    grid = np.union1d(np.geomspace(x_star / 25.0, 4.0 * x_star, 48), x_star)
-    k = int(np.searchsorted(grid, x_star))
-    rh, rh_prime = resolvent_on_grid(basis_i, m_prime, h, grid)
-    lo, up = lower(grid), upper(grid, rh)
-    at = grid[k:k + 1]
-    v_idle = np.where(grid < x_star, lo, up)
-    diags = Diagnostics(
-        pasting_gap_value=_relative_gap(lo[k], up[k]),
-        pasting_gap_slope=_relative_gap(c_i1 * basis_i.psi_prime(at)[0],
-                                        rh_prime[k] + d_i2 * basis_i.phi_prime(at)[0]),
-        growth_margin=float(np.min((rh - v_idle) / np.maximum(rh, 1e-300))),
-        root_residual=abs(root_residual))
+    def diagnostics():
+        # every diagnostic from one idle-rate sweep, with x* as a node:
+        # the two idle branches and their slopes at x*, and R_i h - V_i
+        grid = np.union1d(np.geomspace(x_star / 25.0, 4.0 * x_star, 48), x_star)
+        k = int(np.searchsorted(grid, x_star))
+        rh, rh_prime = resolvent_on_grid(basis_i, m_prime, h, grid)
+        lo, up = lower(grid), upper(grid, rh)
+        at = grid[k:k + 1]
+        v_idle = np.where(grid < x_star, lo, up)
+        return Diagnostics(
+            pasting_gap_value=_relative_gap(lo[k], up[k]),
+            pasting_gap_slope=_relative_gap(c_i1 * basis_i.psi_prime(at)[0],
+                                            rh_prime[k] + d_i2 * basis_i.phi_prime(at)[0]),
+            growth_margin=float(np.min((rh - v_idle) / np.maximum(rh, 1e-300))),
+            root_residual=root_residual())
+
     return Solution(
         mode=Mode.THRESHOLD, x_star=x_star, c_i1=c_i1, d_i2=d_i2, c_a1=c_a1,
-        **_evaluators(columns), diagnostics=diags, spec=spec, params=params)
+        **_evaluators(columns), spec=spec, params=params, _diagnostics=diagnostics)
 
 
 def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solution:
@@ -453,8 +447,8 @@ def _never_enter_solution(spec: DiffusionSpec, params: ProblemParams) -> Solutio
 
     return Solution(
         mode=Mode.NEVER_ENTER, x_star=None, c_i1=nan, d_i2=nan, c_a1=nan,
-        **_evaluators(columns), diagnostics=Diagnostics(nan, nan, nan, nan),
-        spec=spec, params=params)
+        **_evaluators(columns), spec=spec, params=params,
+        _diagnostics=lambda: Diagnostics(nan, nan, nan, nan))
 
 
 def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:
@@ -464,12 +458,18 @@ def solve(spec: DiffusionSpec, params: ProblemParams) -> Solution:
     payoff cannot beat the break-even flow, otherwise the threshold
     solution with coefficients and diagnostics.
     """
+    return _solve_each(spec, params, [params.p])[0]
+
+
+def _solve_each(spec: DiffusionSpec, params: ProblemParams,
+                ps: Sequence[float]) -> list[Solution]:
+    """solve at each p in ps from one root find: x* does not involve p."""
+    at = [replace(params, p=p) for p in ps]
     if check_entry_viability(params) is Viability.NEVER_ENTER:
-        return _never_enter_solution(spec, params)
+        return [_never_enter_solution(spec, q) for q in at]
     x_star, residual = _threshold_and_residual(spec, params)
-    basis_i = excessive_basis(spec, params.rho_idle)
-    basis_a = excessive_basis(spec, params.rho_active)
-    return _assemble(spec, params, x_star, basis_i, basis_a, residual)
+    return [_assemble(spec, q, x_star, excessive_basis(spec, q.rho_idle),
+                      excessive_basis(spec, q.rho_active), residual) for q in at]
 
 
 def p_independence_audit(spec: DiffusionSpec, params: ProblemParams,

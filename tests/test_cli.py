@@ -6,9 +6,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from entrysolve import Formulation, cli, solve
+from entrysolve import Formulation, ProblemParams, cli, gbm, power, solve, solver
 from entrysolve.cli import (
     ConfigError,
     cmd_curve,
@@ -317,6 +318,27 @@ class TestCurveCommand:
         assert table["columns"][0] == "x"
         assert len(table["rows"]) == 3
         assert all(len(row) == len(table["columns"]) for row in table["rows"])
+
+    def test_p_list_finds_the_root_once(self, tmp_path, capsys, monkeypatch):
+        # x* does not involve p: one root find serves every column group,
+        # and each group is the table of its own solve, bit for bit
+        roots, objective = [], solver._threshold_objective
+
+        def counted(*args):
+            roots.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(solver, "_threshold_objective", counted)
+        code = main(["curve", "--config", write(tmp_path, FLAT), "--format", "json",
+                     "--points", "5", "--p-list", "0.3,0.6,0.9"])
+        assert code == 0
+        assert len(roots) == 1
+        rows = np.array(json.loads(capsys.readouterr().out)["rows"])
+        for k, p in enumerate((0.3, 0.6, 0.9)):
+            params = ProblemParams(r=0.1, lam=1.0, p=p, K=1.0, C=1.0, h=power(0.5))
+            alone = solve(gbm(0.05, 0.25), params).table(rows[:, 0])
+            np.testing.assert_array_equal(rows[:, 1 + 4 * k:5 + 4 * k],
+                                          np.column_stack(list(alone.values())))
 
     def test_multiple_p_column_groups(self, tmp_path, capsys):
         code = main(["curve", "--config", write(tmp_path, FLAT),

@@ -358,12 +358,14 @@ class TestRuns:
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_kinked_payoff_still_raises(self):
-        # a kink at x = 3 inside a curve's run: its panel fails both fits,
-        # and the interval holding the kink fails on panels of its own
+        # a kink at x = 3 inside the diagnostics' run: its panel fails both
+        # fits, and the interval holding the kink fails on panels of its
+        # own; the root find and the coefficients stay above the kink
         kinked = custom_payoff(lambda x: np.maximum(x - 3.0, 0.0) + 0.2 * x)
         params = ProblemParams(r=0.1, lam=1.0, p=0.5, K=1.0, C=1.0, h=kinked)
+        solution = solve(SPEC, params)
         with pytest.raises(QuadratureError, match="failed to converge"):
-            solve(SPEC, params)
+            solution.diagnostics
 
 
 def window_walk(f, start, limit, up):

@@ -145,6 +145,26 @@ class TestBreakEvenState:
             solve(SPEC, params)
 
 
+def walked_root(spec, params) -> float:
+    """brentq on F with every evaluation a fresh tail walk down to 0, in
+    a bracket grown by 1.5x from x_C (1 + 1e-9)."""
+    basis_a = excessive_basis(spec, params.rho_active)
+    kappa = params.break_even
+
+    def f(t):
+        return basis_a.psi(t) * (params.h(t) - kappa) * speed_density(spec, t)
+
+    def walked(x):
+        return _quad.integrate_to_zero(
+            f, x, limit=basis_a.x_lo if basis_a.x_lo > 0.0 else None)
+
+    lo = _break_even_state(params) * (1.0 + 1e-9)
+    hi = 1.5 * lo
+    while walked(hi) <= 0.0:
+        hi *= 1.5
+    return brentq(walked, lo, hi, xtol=1e-12, rtol=1e-13)
+
+
 class TestThreshold:
     def test_frozen_value(self, sol):
         assert sol.x_star == pytest.approx(X_STAR, rel=1e-12)
@@ -181,26 +201,66 @@ class TestThreshold:
     def test_matches_brentq_on_walked_objective(self, spec, params):
         # the root of F with every evaluation a fresh walk down to 0,
         # bracketed from x_C as solve_threshold does
-        basis_a = excessive_basis(spec, params.rho_active)
-        kappa = params.break_even
-
-        def f(t):
-            return basis_a.psi(t) * (params.h(t) - kappa) * speed_density(spec, t)
-
-        def walked(x):
-            return _quad.integrate_to_zero(
-                f, x, limit=basis_a.x_lo if basis_a.x_lo > 0.0 else None)
-
-        lo = _break_even_state(params) * (1.0 + 1e-9)
-        hi = 1.5 * lo
-        while walked(hi) <= 0.0:
-            hi *= 1.5
-        want = brentq(walked, lo, hi, xtol=1e-12, rtol=1e-13)
+        want = walked_root(spec, params)
         assert solve_threshold(spec, params) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_far_root_matches_brentq_on_fine_panels(self):
+        # ln(x*/x_C) is about 5.8: the root lies in the fourth marched
+        # block (1, 2, 4, then 8 panels), many panels above x_C. A walk
+        # down from so far up has no error test and puts the root 1.1e-12
+        # low, so the reference is F(x_C) plus 400 short panel integrals
+        spec, params = gbm(0.05, 1.5), replace(PARAMS, h=saturating(2.12, 0.5))
+        f, limit = solver._threshold_integrand(spec, params)
+        x_c = _break_even_state(params) * (1.0 + 1e-9)
+        f_c = _quad.integrate_to_zero(f, x_c, limit=limit)
+
+        def fine(x):
+            edges = np.geomspace(x_c, x, 401)
+            return f_c + math.fsum(_quad.fixed_panels(f, edges)) if x > x_c else f_c
+
+        got = solve_threshold(spec, params)
+        assert 5.5 < math.log(got / x_c) < 6.0
+        want = brentq(fine, x_c, 1.5 ** 20 * x_c, xtol=1e-15, rtol=1e-15)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_root_on_a_panel_edge(self):
+        # for h = sqrt(x), x*/x_C = (1 + 1/(2 |a|))^2 with a the negative
+        # active-rate exponent; choose lam so that x* sits on the edge of
+        # the march's first two panels, half a unit of ln x above x_C (1 + 1e-9)
+        alpha, beta, r = 0.05, 0.5, 0.1
+        a = -0.5 / (math.exp(0.25) * math.sqrt(1.0 + 1e-9) - 1.0)
+        lam = 0.5 * beta ** 2 * a * (a - 1.0) + alpha * a - r
+        spec, params = gbm(alpha, beta), replace(PARAMS, lam=lam)
+        got = solve_threshold(spec, params)
+        edge = _break_even_state(params) * (1.0 + 1e-9) * math.exp(0.5)
+        assert got == pytest.approx(edge, rel=1e-12)
+        assert got == pytest.approx(walked_root(spec, params), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("spec, params, blocks", [
+        (SPEC, PARAMS, 1),
+        (gbm(0.05, 1.5), replace(PARAMS, h=saturating(2.12, 0.5)), 4)])
+    def test_root_find_makes_one_walk_and_one_fit_per_block(self, spec, params, blocks,
+                                                             monkeypatch):
+        # F(x_C) is one tail walk; the march fits each block in one call
+        # and calls the integrand no more: no slope or Newton evaluation
+        calls = {"walk": 0, "fit": 0}
+        walk, fit = _quad._walk, _quad._fit
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(_quad, "_walk", counted("walk", walk))
+        monkeypatch.setattr(_quad, "_fit", counted("fit", fit))
+        solve_threshold(spec, params)
+        assert calls == {"walk": 1, "fit": blocks}
 
     @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2), LOG_MR])
     def test_solve_walks_one_tail_for_the_root(self, spec, monkeypatch):
-        # one walk down from x_C for F, then the five of _assemble
+        # one walk down from x_C for F and the three coefficient
+        # projections; reading the diagnostics adds one idle-rate sweep
         walks = []
         walk = _quad._walk
 
@@ -209,12 +269,28 @@ class TestThreshold:
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(_quad, "_walk", counted)
-        solve(spec, PARAMS)
+        solution = solve(spec, PARAMS)
+        assert len(walks) == 4
+        solution.diagnostics
         assert len(walks) == 6
 
+    @pytest.mark.parametrize("above", [6.0, 13.0])
+    def test_failed_panel_raises_below_the_root_only(self, monkeypatch, above):
+        # f = t - x_C with x_C = 4.41: F(x) = x^2 / 2 - 4.41 x, root 8.82. A
+        # NaN above 6 fails the first panel, named by its failing quarter;
+        # one above 13 fails a panel past the root's, in the same block
+        monkeypatch.setattr(solver, "_threshold_integrand", lambda spec, params: (
+            lambda t: np.where(t > above, np.nan, t - 4.41), None))
+        if above < 8.82:
+            with pytest.raises(QuadratureError, match=r"panel integral on \[5\.66\d*, 6\.41\d*\] failed"):
+                solve_threshold(SPEC, PARAMS)
+        else:
+            assert solve_threshold(SPEC, PARAMS) == pytest.approx(8.82, rel=1e-12)
+
     def test_bracket_expansion_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "_threshold_objective",
-                            lambda spec, params: lambda x: -1.0)
+        # an integrand negative everywhere: F stays negative past the reach
+        monkeypatch.setattr(solver, "_threshold_integrand",
+                            lambda spec, params: (lambda t: -np.ones_like(t), None))
         with pytest.raises(NumericsError, match="bracket expansion failed"):
             solve_threshold(SPEC, PARAMS)
 
@@ -375,8 +451,8 @@ class TestDiagnostics:
         assert d.growth_margin > 0.0
 
     def test_assemble_walks_each_boundary_integral_once(self, sol, monkeypatch):
-        # three coefficient projections, then one idle-rate sweep
-        # (one walk per end) for every diagnostic
+        # three coefficient projections, then, when the diagnostics are
+        # read, one idle-rate sweep (one walk per end) for all of them
         walks = []
         walk = _quad._walk
 
@@ -387,9 +463,39 @@ class TestDiagnostics:
         monkeypatch.setattr(_quad, "_walk", counted)
         basis_i = excessive_basis(SPEC, PARAMS.rho_idle)
         basis_a = excessive_basis(SPEC, PARAMS.rho_active)
-        _assemble(SPEC, PARAMS, sol.x_star, basis_i, basis_a,
-                  sol.diagnostics.root_residual)
+        assembled = _assemble(SPEC, PARAMS, sol.x_star, basis_i, basis_a, lambda: 0.0)
+        assert len(walks) == 3
+        assembled.diagnostics
         assert len(walks) == 5
+
+    @pytest.mark.parametrize("spec", [SPEC, logistic(0.05, 0.25, 0.2), LOG_MR])
+    def test_idle_rate_sweep_waits_for_a_read(self, spec, monkeypatch):
+        grids = []
+        sweep = solver.resolvent_on_grid
+
+        def counted(basis, *args):
+            grids.append(basis.rho)
+            return sweep(basis, *args)
+
+        monkeypatch.setattr(solver, "resolvent_on_grid", counted)
+        solution = solve(spec, PARAMS)
+        assert grids == []
+        solution.diagnostics
+        assert grids == [PARAMS.rho_idle]
+
+    def test_second_read_is_the_same_object(self):
+        solution = solve(SPEC, PARAMS)
+        first = solution.diagnostics
+        assert solution.diagnostics is first
+
+    def test_root_residual_from_the_root_find(self, sol):
+        # |F(x_C) + integral_x_C^x* f|: the same walk down from x_C and a
+        # fresh panel integral up to x*
+        f, limit = solver._threshold_integrand(SPEC, PARAMS)
+        x_c = _break_even_state(PARAMS) * (1.0 + 1e-9)
+        want = abs(_quad.integrate_to_zero(f, x_c, limit=limit)
+                   + float(_quad.fixed_panels(f, (x_c, sol.x_star))[0]))
+        assert sol.diagnostics.root_residual == want
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +706,7 @@ class TestNormalizationInvariance:
         basis_i = rescale(excessive_basis(SPEC, PARAMS.rho_idle), 3.0, 0.25)
         basis_a = rescale(excessive_basis(SPEC, PARAMS.rho_active), 7.0, 1.0)
         alt = _assemble(SPEC, PARAMS, sol.x_star, basis_i, basis_a,
-                        sol.diagnostics.root_residual)
+                        lambda: sol.diagnostics.root_residual)
         xs = np.array([1.0, 3.0, sol.x_star, 6.0, 10.0])
         np.testing.assert_allclose(alt.value_idle(xs), sol.value_idle(xs), rtol=1e-9)
         np.testing.assert_allclose(alt.value_active(xs), sol.value_active(xs), rtol=1e-9)
